@@ -31,7 +31,6 @@ from .quantum import (
     closed_form_full,
     closed_form_restricted,
     decoding_basis,
-    encode_full,
     encode_restricted,
     exact_success,
     guess_from_outcome,
@@ -60,7 +59,6 @@ __all__ = [
     "closed_form_full",
     "closed_form_restricted",
     "decoding_basis",
-    "encode_full",
     "encode_restricted",
     "evaluate_strategy",
     "exact_success",

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .classical import closed_form_classical
 from .quantum import ProtocolSpec, closed_form_full, closed_form_restricted, exact_success
+from .report import check_int
 
 #: Largest d for which scan() cross-checks the closed form by enumeration.
 VERIFY_DMAX = 64
@@ -47,8 +48,8 @@ def restricted_exact_value(d: int, r: int) -> Fraction | None:
     The closed form is rational precisely when d - r is a perfect square;
     returns None otherwise.
     """
-    if not 0 <= r < d:
-        raise ValueError(f"dimensional advantage must satisfy 0 <= r < d, got r={r}, d={d}")
+    check_int(d, "alphabet size d", 1)
+    check_int(r, "dimensional advantage r", 0, d - 1)
     m = d - r
     root = math.isqrt(m)
     if root * root != m:
@@ -58,8 +59,8 @@ def restricted_exact_value(d: int, r: int) -> Fraction | None:
 
 def advantage_holds(d: int, r: int) -> bool:
     """True when encoding into dimension d - r strictly beats the classical code."""
-    if not 0 <= r < d:
-        raise ValueError(f"dimensional advantage must satisfy 0 <= r < d, got r={r}, d={d}")
+    check_int(d, "alphabet size d", 1)
+    check_int(r, "dimensional advantage r", 0, d - 1)
     holds = d > r * r + 3 * r + 1
 
     # Cross-check against the closed forms themselves: exactly in rational
@@ -79,8 +80,7 @@ def advantage_holds(d: int, r: int) -> bool:
 
 def r_max(d: int) -> int:
     """Largest r with a strict advantage; 0 when no restricted encoding helps."""
-    if d < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {d}")
+    check_int(d, "alphabet size d", 2)
     r = 0
     while advantage_holds(d, r + 1):
         r += 1
@@ -96,8 +96,8 @@ def scan(d_min: int = 2, d_max: int = 50, *, verify: bool = True) -> list[Advant
     d <= VERIFY_DMAX is recomputed by exhaustive Born-rule enumeration and
     must agree with the closed form to 1e-12.
     """
-    if not 2 <= d_min <= d_max:
-        raise ValueError(f"need 2 <= d_min <= d_max, got d_min={d_min}, d_max={d_max}")
+    check_int(d_min, "d_min", 2)
+    check_int(d_max, "d_max", d_min)
     rows = []
     for d in range(d_min, d_max + 1):
         r = r_max(d)
@@ -132,6 +132,6 @@ def full_to_classical_ratio(d: int) -> float:
 
 def ratio_argmax(d_min: int = 2, d_max: int = 1000) -> int:
     """Alphabet size maximizing the full-protocol-to-classical success ratio."""
-    if not 2 <= d_min <= d_max:
-        raise ValueError(f"need 2 <= d_min <= d_max, got d_min={d_min}, d_max={d_max}")
+    check_int(d_min, "d_min", 2)
+    check_int(d_max, "d_max", d_min)
     return max(range(d_min, d_max + 1), key=full_to_classical_ratio)

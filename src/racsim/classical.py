@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .report import SuccessReport
+from .report import SuccessReport, check_int
 
 #: Decoder-tuple budget below which the oracle runs without an override.
 #: Covers (n=2, d<=5) at ~9.8M pairs and (n=3, d<=3) at ~20k triples.
@@ -46,10 +46,8 @@ class ClassicalTask:
     d: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"string length must be at least 1, got {self.n}")
-        if self.d < 2:
-            raise ValueError(f"alphabet size must be at least 2, got {self.d}")
+        check_int(self.n, "string length n", 1)
+        check_int(self.d, "alphabet size d", 2)
 
     @property
     def input_count(self) -> int:
@@ -152,13 +150,11 @@ def majority_identity_strategy(task: ClassicalTask) -> DeterministicStrategy:
 
 def closed_form_classical(n: int, d: int) -> float:
     """Optimal classical average success for n = 2 or n = 3."""
-    if d < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {d}")
+    check_int(n, "string length n of a known closed form", 2, 3)
+    check_int(d, "alphabet size d", 2)
     if n == 2:
         return 0.5 * (1.0 + 1.0 / d)
-    if n == 3:
-        return (1.0 + 3.0 / d - 1.0 / d**2) / 3.0
-    raise ValueError(f"closed form is only known for n in {{2, 3}}, got n={n}")
+    return (1.0 + 3.0 / d - 1.0 / d**2) / 3.0
 
 
 def _decoder_functions(d: int) -> np.ndarray:
@@ -190,6 +186,7 @@ def optimal_classical_bruteforce(
     The reported witness carries the lexicographically smallest optimal
     decoder tuple of the enumerated space and its greedy encoder.
     """
+    check_int(max_tuples, "tuple budget max_tuples", 0)
     n, d = task.n, task.d
     func_count = d**d
     required = func_count**n

@@ -5,14 +5,17 @@ Subcommands: ``exact`` (enumerated success report for one protocol), ``scan``
 classical search, or evaluation of a strategy file), ``simulate`` (seeded
 Monte Carlo), and ``verify`` (closed-form versus enumeration cross-checks).
 
-Output is deterministic: fields appear in a fixed order, probabilities are
-rendered with 7 significant digits in text and CSV (JSON carries full double
-precision), files end every line with LF, and reports carry no timestamps.
-JSON reports include a provenance block recording the tool version, the
-parameters, and whether each value came from a closed form or an enumeration.
+Every command returns a :class:`Report`, and one renderer turns it into the
+requested format.  Output is deterministic: fields appear in a fixed order,
+probabilities are rendered with 7 significant digits in text and CSV (JSON
+carries full double precision), files end every line with LF, and reports
+carry no timestamps.  JSON reports include a provenance block recording the
+tool version, the parameters, and whether each value came from a closed form
+or an enumeration.
 
-Exit status: 0 on success, 1 on failed verification, 2 on invalid arguments,
-3 when the oracle search size exceeds its budget.
+Exit status: 0 on success, 1 on failed verification, 2 on invalid arguments
+or a request too large for the available memory, 3 when the oracle search
+size exceeds its budget.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable, Iterable
+from dataclasses import asdict, astuple, dataclass, field
 from fractions import Fraction
 
 from . import __version__, advantage, classical, montecarlo, quantum
@@ -33,18 +38,30 @@ _EXIT_BAD_ARGS = 2
 _EXIT_INFEASIBLE = 3
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".7g")
+@dataclass(frozen=True)
+class Report:
+    """What one command prints, before a format is chosen.
+
+    ``parameters`` and ``sources`` (where each value came from) make up the
+    JSON provenance; ``fields`` are the other JSON fields, in order, and a
+    callable field is built only when JSON is rendered.  Text output shows the
+    parameters or fields named by ``text_keys`` as ``key: value`` lines,
+    skipping None, then the lines ``table`` returns.  ``csv`` returns the CSV
+    lines of a command that has a CSV format.  ``status`` is the exit status.
+    """
+
+    command: str
+    parameters: dict
+    sources: dict = field(default_factory=dict)
+    fields: dict = field(default_factory=dict)
+    text_keys: tuple[str, ...] = ()
+    table: Callable[[], Iterable[str]] = tuple
+    csv: Callable[[], Iterable[str]] | None = None
+    status: int = 0
 
 
-def _provenance(command: str, parameters: dict, values: dict) -> dict:
-    return {
-        "tool": "racsim",
-        "version": __version__,
-        "command": command,
-        "parameters": parameters,
-        "values": values,
-    }
+def _text(value) -> str:
+    return format(value, ".7g") if isinstance(value, float) else str(value)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -58,216 +75,130 @@ def _emit(text: str, output: str | None) -> None:
         handle.write(text)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _render(report: Report, args: argparse.Namespace) -> None:
+    """Write ``report`` in ``args.format`` to stdout or ``args.output``."""
+    if args.format == "json":
+        provenance = {"tool": "racsim", "version": __version__, "command": report.command,
+                      "parameters": report.parameters, "values": report.sources}
+        fields = {key: value() if callable(value) else value for key, value in report.fields.items()}
+        text = json.dumps({"provenance": provenance, **fields}, indent=2) + "\n"
+    elif args.format == "csv":
+        text = "\n".join(report.csv()) + "\n"
+    else:
+        shown = {**report.parameters, **report.fields}
+        lines = [f"{key}: {_text(shown[key])}" for key in report.text_keys if shown[key] is not None]
+        text = "\n".join([*lines, *report.table()]) + "\n"
+    _emit(text, args.output)
 
 
 # ----------------------------------------------------------------- exact ---
 
 
-def _build_spec(args: argparse.Namespace) -> quantum.ProtocolSpec:
+def _build_spec(args: argparse.Namespace) -> tuple[quantum.ProtocolSpec, dict]:
+    """The protocol named by --task/--d/--dprime/--variant, and its parameters."""
     if args.task == "full":
-        return quantum.ProtocolSpec.full(args.d)
-    if args.dprime is None:
+        spec = quantum.ProtocolSpec.full(args.d)
+    elif args.dprime is None:
         raise ValueError("--dprime is required for the restricted task")
-    return quantum.ProtocolSpec(args.d, args.dprime, quantum.GatingVariant(args.variant))
+    else:
+        spec = quantum.ProtocolSpec(args.d, args.dprime, quantum.GatingVariant(args.variant))
+    parameters = {"task": args.task, "d": spec.d, "dprime": spec.d_prime, "variant": spec.variant.value}
+    return spec, parameters
 
 
-def cmd_exact(args: argparse.Namespace) -> int:
-    spec = _build_spec(args)
+def cmd_exact(args: argparse.Namespace) -> Report:
+    spec, parameters = _build_spec(args)
     report = quantum.exact_success(spec)
-    closed = quantum.closed_form_restricted(spec.d, spec.r)
-    parameters = {
-        "task": args.task,
-        "d": spec.d,
-        "dprime": spec.d_prime,
-        "variant": spec.variant.value,
-    }
-    rows = [
-        (x1, x2, y, report.per_input[x1, x2, y - 1])
-        for x1 in range(spec.d)
-        for x2 in range(spec.d)
-        for y in (1, 2)
-    ]
-    if args.format == "json":
-        payload = {
-            "provenance": _provenance(
-                "exact",
-                parameters,
-                {
-                    "average": "enumerated",
-                    "worst_case": "enumerated",
-                    "per_input": "enumerated",
-                    "closed_form": "formula",
-                },
-            ),
+    per_input, d = report.per_input.tolist(), spec.d
+
+    def cells():
+        return ((x1, x2, y, per_input[x1][x2][y - 1]) for x1 in range(d) for x2 in range(d) for y in (1, 2))
+
+    return Report(
+        "exact",
+        parameters,
+        sources={"average": "enumerated", "worst_case": "enumerated", "per_input": "enumerated",
+                 "closed_form": "formula"},
+        fields={
             "average": report.average,
             "worst_case": report.worst_case,
-            "closed_form": closed,
-            "per_input": [[x1, x2, y, p] for x1, x2, y, p in rows],
-        }
-        _emit(_json_text(payload), args.output)
-    else:
-        lines = [
-            f"task: {args.task}",
-            f"d: {spec.d}",
-            f"dprime: {spec.d_prime}",
-            f"variant: {spec.variant.value}",
-            f"average: {_fmt(report.average)}",
-            f"worst_case: {_fmt(report.worst_case)}",
-            f"closed_form: {_fmt(closed)}",
-            "per-input success (x1 x2 y p):",
-        ]
-        lines += [f"{x1} {x2} {y} {_fmt(p)}" for x1, x2, y, p in rows]
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+            "closed_form": quantum.closed_form_restricted(spec.d, spec.r),
+            "per_input": lambda: [list(cell) for cell in cells()],
+        },
+        text_keys=(*parameters, "average", "worst_case", "closed_form"),
+        table=lambda: ["per-input success (x1 x2 y p):", *(f"{x1} {x2} {y} {_text(p)}" for x1, x2, y, p in cells())],
+    )
 
 
 # ------------------------------------------------------------------ scan ---
 
-_SCAN_COLUMNS = (
-    "d",
-    "dprime",
-    "r_max",
-    "p_classical",
-    "p_quantum_full",
-    "p_quantum_restricted",
-    "ratio",
-)
+_SCAN_COLUMNS = ("d", "dprime", "r_max", "p_classical", "p_quantum_full", "p_quantum_restricted", "ratio")
+_SCAN_TEXT_ROW = "{:>4} {:>6} {:>5} {:>11} {:>11} {:>11} {:>11}"
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
-    rows = advantage.scan(args.dmin, args.dmax)
-    parameters = {"dmin": args.dmin, "dmax": args.dmax}
-    values = {
-        "r_max": "strict-inequality search",
-        "p_classical": "formula",
-        "p_quantum_full": "formula",
-        "p_quantum_restricted": f"formula, enumeration-verified for d <= {advantage.VERIFY_DMAX}",
-    }
-    if args.format == "csv":
-        lines = [",".join(_SCAN_COLUMNS)]
-        for row in rows:
-            lines.append(
-                f"{row.d},{row.d_prime},{row.r_max},{_fmt(row.p_classical)},"
-                f"{_fmt(row.p_quantum_full)},{_fmt(row.p_quantum_restricted)},{_fmt(row.ratio)}"
-            )
-        _emit("\n".join(lines) + "\n", args.output)
-    elif args.format == "json":
-        payload = {
-            "provenance": _provenance("scan", parameters, values),
-            "rows": [
-                {
-                    "d": row.d,
-                    "dprime": row.d_prime,
-                    "r_max": row.r_max,
-                    "p_classical": row.p_classical,
-                    "p_quantum_full": row.p_quantum_full,
-                    "p_quantum_restricted": row.p_quantum_restricted,
-                    "ratio": row.ratio,
-                }
-                for row in rows
-            ],
-        }
-        _emit(_json_text(payload), args.output)
-    else:
-        header = f"{'d':>4} {'dprime':>6} {'r_max':>5} {'classical':>11} {'full':>11} {'restricted':>11} {'ratio':>11}"
-        lines = [header]
-        for row in rows:
-            lines.append(
-                f"{row.d:>4} {row.d_prime:>6} {row.r_max:>5} {_fmt(row.p_classical):>11} "
-                f"{_fmt(row.p_quantum_full):>11} {_fmt(row.p_quantum_restricted):>11} {_fmt(row.ratio):>11}"
-            )
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+def cmd_scan(args: argparse.Namespace) -> Report:
+    rows = [astuple(row) for row in advantage.scan(args.dmin, args.dmax)]
+    return Report(
+        "scan",
+        {"dmin": args.dmin, "dmax": args.dmax},
+        sources={
+            "r_max": "strict-inequality search",
+            "p_classical": "formula",
+            "p_quantum_full": "formula",
+            "p_quantum_restricted": f"formula, enumeration-verified for d <= {advantage.VERIFY_DMAX}",
+        },
+        fields={"rows": lambda: [dict(zip(_SCAN_COLUMNS, row)) for row in rows]},
+        table=lambda: [
+            _SCAN_TEXT_ROW.format("d", "dprime", "r_max", "classical", "full", "restricted", "ratio"),
+            *(_SCAN_TEXT_ROW.format(*map(_text, row)) for row in rows),
+        ],
+        csv=lambda: [",".join(_SCAN_COLUMNS), *(",".join(map(_text, row)) for row in rows)],
+    )
 
 
 # ---------------------------------------------------------------- oracle ---
 
 
-def _strategy_payload(strategy: classical.DeterministicStrategy) -> dict:
-    return {
-        "n": strategy.n,
-        "d": strategy.d,
-        "encoder": list(strategy.encoder),
-        "decoders": [list(table) for table in strategy.decoders],
-    }
-
-
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: argparse.Namespace) -> Report:
     if args.evaluate is not None:
         with open(args.evaluate) as handle:
             strategy = classical.strategy_from_text(handle.read())
         task = classical.ClassicalTask(strategy.n, strategy.d)
         report = classical.evaluate_strategy(task, strategy)
-        parameters = {"evaluate": args.evaluate, "n": task.n, "d": task.d}
-        if args.format == "json":
-            payload = {
-                "provenance": _provenance(
-                    "oracle", parameters, {"average": "enumerated", "worst_case": "enumerated"}
-                ),
-                "average": report.average,
-                "worst_case": report.worst_case,
-                "strategy": _strategy_payload(strategy),
-            }
-            _emit(_json_text(payload), args.output)
-        else:
-            lines = [
-                f"n: {task.n}",
-                f"d: {task.d}",
-                f"average: {_fmt(report.average)}",
-                f"worst_case: {_fmt(report.worst_case)}",
-            ]
-            _emit("\n".join(lines) + "\n", args.output)
-        return 0
+        return Report(
+            "oracle",
+            {"evaluate": args.evaluate, "n": task.n, "d": task.d},
+            sources={"average": "enumerated", "worst_case": "enumerated"},
+            fields={"average": report.average, "worst_case": report.worst_case,
+                    "strategy": lambda: asdict(strategy)},
+            text_keys=("n", "d", "average", "worst_case"),
+        )
 
     if args.n is None or args.d is None:
         raise ValueError("oracle needs --n and --d (or --evaluate <path>)")
     task = classical.ClassicalTask(args.n, args.d)
-    result = classical.optimal_classical_bruteforce(
-        task, max_tuples=args.max_tuples, allow_large=args.allow_large
-    )
+    result = classical.optimal_classical_bruteforce(task, max_tuples=args.max_tuples, allow_large=args.allow_large)
     if args.witness_out is not None:
         _emit(classical.strategy_to_text(result.witness), args.witness_out)
-    closed = classical.closed_form_classical(args.n, args.d) if args.n in (2, 3) else None
-    parameters = {
-        "n": args.n,
-        "d": args.d,
-        "max_tuples": args.max_tuples,
-        "allow_large": args.allow_large,
-    }
-    if args.format == "json":
-        payload = {
-            "provenance": _provenance(
-                "oracle",
-                parameters,
-                {"optimum": "exhaustive search", "closed_form": "formula"},
-            ),
+    return Report(
+        "oracle",
+        {"n": args.n, "d": args.d, "max_tuples": args.max_tuples, "allow_large": args.allow_large},
+        sources={"optimum": "exhaustive search", "closed_form": "formula"},
+        fields={
             "optimum": result.optimum,
-            "closed_form": closed,
+            "closed_form": classical.closed_form_classical(args.n, args.d) if args.n in (2, 3) else None,
             "strategies_examined": result.strategies_examined,
-            "witness": _strategy_payload(result.witness),
-        }
-        _emit(_json_text(payload), args.output)
-    else:
-        lines = [
-            f"n: {args.n}",
-            f"d: {args.d}",
-            f"optimum: {_fmt(result.optimum)}",
-            f"strategies_examined: {result.strategies_examined}",
-        ]
-        if closed is not None:
-            lines.append(f"closed_form: {_fmt(closed)}")
-        lines.append("witness:")
-        lines.append(classical.strategy_to_text(result.witness).rstrip("\n"))
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+            "witness": lambda: asdict(result.witness),
+        },
+        text_keys=("n", "d", "optimum", "strategies_examined", "closed_form"),
+        table=lambda: ["witness:", *classical.strategy_to_text(result.witness).splitlines()],
+    )
 
 
 # -------------------------------------------------------------- simulate ---
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> Report:
     config = montecarlo.TrialConfig(trials=args.trials, seed=args.seed)
     if args.strategy is not None:
         with open(args.strategy) as handle:
@@ -281,35 +212,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         protocol = classical.majority_identity_strategy(classical.ClassicalTask(args.n, args.d))
         parameters = {"task": "majority", "n": args.n, "d": args.d}
     else:
-        spec = _build_spec(args)
-        protocol = spec
-        parameters = {
-            "task": args.task,
-            "d": spec.d,
-            "dprime": spec.d_prime,
-            "variant": spec.variant.value,
-        }
-    parameters.update({"trials": args.trials, "seed": args.seed})
+        protocol, parameters = _build_spec(args)
     estimate = montecarlo.simulate(protocol, config)
-    if args.format == "json":
-        payload = {
-            "provenance": _provenance(
-                "simulate", parameters, {"mean": "sampled", "stderr": "binomial formula"}
-            ),
-            "mean": estimate.mean,
-            "stderr": estimate.stderr,
-            "trials": estimate.trials,
-        }
-        _emit(_json_text(payload), args.output)
-    else:
-        lines = [
-            f"trials: {estimate.trials}",
-            f"seed: {args.seed}",
-            f"mean: {_fmt(estimate.mean)}",
-            f"stderr: {_fmt(estimate.stderr)}",
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return Report(
+        "simulate",
+        {**parameters, "trials": args.trials, "seed": args.seed},
+        sources={"mean": "sampled", "stderr": "binomial formula"},
+        fields={"mean": estimate.mean, "stderr": estimate.stderr, "trials": estimate.trials},
+        text_keys=("trials", "seed", "mean", "stderr"),
+    )
 
 
 # ---------------------------------------------------------------- verify ---
@@ -319,23 +230,15 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
     tol = 1e-12
     checks: list[tuple[str, bool, str]] = []
 
-    worst = 0.0
-    for d in range(2, 33):
-        err = abs(
-            quantum.exact_success(quantum.ProtocolSpec.full(d)).average
-            - quantum.closed_form_full(d)
-        )
-        worst = max(worst, err)
+    worst = max(abs(quantum.exact_success(quantum.ProtocolSpec.full(d)).average - quantum.closed_form_full(d))
+                for d in range(2, 33))
     checks.append(("full protocol vs closed form, d=2..32", worst <= tol, f"max err {worst:.2e}"))
 
-    worst = 0.0
-    for d in range(2, 33):
-        for r in range(1, d - 1):
-            err = abs(
-                quantum.exact_success(quantum.ProtocolSpec(d, d - r)).average
-                - quantum.closed_form_restricted(d, r)
-            )
-            worst = max(worst, err)
+    worst = max(
+        abs(quantum.exact_success(quantum.ProtocolSpec(d, d - r)).average - quantum.closed_form_restricted(d, r))
+        for d in range(2, 33)
+        for r in range(1, d - 1)
+    )
     checks.append(
         ("restricted protocol vs closed form, d=2..32, 1<=r<d-1", worst <= tol, f"max err {worst:.2e}")
     )
@@ -369,11 +272,7 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
     bad = [row.d for row in rows if expected_bands[row.d] != row.r_max]
     checks.append(("staircase bands, d=2..50", not bad, f"mismatches at {bad}" if bad else "bands match"))
 
-    ties_ok = True
-    for d, r in [(5, 1), (11, 2)]:
-        exact = advantage.restricted_exact_value(d, r)
-        if exact != Fraction(d + 1, 2 * d):
-            ties_ok = False
+    ties_ok = all(advantage.restricted_exact_value(d, r) == Fraction(d + 1, 2 * d) for d, r in [(5, 1), (11, 2)])
     checks.append(("boundary ties are exact rational equalities", ties_ok, "(5,1) and (11,2)"))
 
     arg = advantage.ratio_argmax(2, 1000)
@@ -385,24 +284,17 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
     analytic = (13.5 + 12.5 / math.sqrt(5)) / 36.0
     ordered = literal < classical.closed_form_classical(2, 6) < quantum.closed_form_restricted(6, 1)
     checks.append(
-        (
-            "literal gating regression at d=6, r=1",
-            abs(literal - analytic) <= tol and ordered,
-            f"value {literal:.10f}",
-        )
+        ("literal gating regression at d=6, r=1", abs(literal - analytic) <= tol and ordered, f"value {literal:.10f}")
     )
     return checks
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> Report:
     checks = _verify_checks()
-    lines = []
-    for name, ok, detail in checks:
-        lines.append(f"{'PASS' if ok else 'FAIL'}  {name}  [{detail}]")
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name}  [{detail}]" for name, ok, detail in checks]
     failed = sum(1 for _, ok, _ in checks if not ok)
     lines.append(f"{len(checks) - failed}/{len(checks)} checks passed")
-    _emit("\n".join(lines) + "\n", args.output)
-    return _EXIT_VERIFY_FAILED if failed else 0
+    return Report("verify", {}, table=lambda: lines, status=_EXIT_VERIFY_FAILED if failed else 0)
 
 
 # ------------------------------------------------------------------ main ---
@@ -484,16 +376,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)
+        _render(report, args)
     except classical.InfeasibleSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INFEASIBLE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return _EXIT_BAD_ARGS
+    return report.status
 
 
 if __name__ == "__main__":

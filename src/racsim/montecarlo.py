@@ -23,6 +23,7 @@ import numpy as np
 
 from .classical import DeterministicStrategy
 from .quantum import ProtocolSpec, decoding_basis, encode_restricted
+from .report import check_int
 from . import qudit
 
 _CHUNK = 1 << 17
@@ -36,10 +37,8 @@ class TrialConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trial count must be at least 1, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        check_int(self.trials, "trial count", 1)
+        check_int(self.seed, "seed", 0, 2**64 - 1)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qudit
-from .report import SuccessReport
+from .report import SuccessReport, check_int
 
 
 class GatingVariant(enum.Enum):
@@ -56,13 +56,8 @@ class ProtocolSpec:
     variant: GatingVariant = GatingVariant.INDEPENDENT
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"alphabet size must be positive, got {self.d}")
-        if not 1 <= self.d_prime <= self.d:
-            raise ValueError(
-                f"quantum dimension must satisfy 1 <= d_prime <= d, "
-                f"got d_prime={self.d_prime}, d={self.d}"
-            )
+        check_int(self.d, "alphabet size d", 1)
+        check_int(self.d_prime, "quantum dimension d_prime", 1, self.d)
         if not isinstance(self.variant, GatingVariant):
             raise ValueError(f"variant must be a GatingVariant, got {self.variant!r}")
 
@@ -93,9 +88,6 @@ class GuessDistribution:
         if abs(total - 1.0) > qudit.ATOL:
             raise ValueError(f"guess probabilities must sum to 1, got {total}")
 
-    def probability_of(self, answer: int) -> float:
-        return sum(p for a, p in self.support if a == answer)
-
     def as_vector(self, d: int) -> np.ndarray:
         vec = np.zeros(d)
         for a, p in self.support:
@@ -103,28 +95,15 @@ class GuessDistribution:
         return vec
 
 
-def _check_dit(value: int, d: int, name: str) -> None:
-    if not 0 <= value < d:
-        raise ValueError(f"{name} must lie in 0..{d - 1}, got {value}")
-
-
-def encode_full(d: int, x1: int, x2: int) -> np.ndarray:
-    """Encode the pair (x1, x2) into dimension d: Shift^x1 Clock^x2 on the anchor."""
-    _check_dit(x1, d, "x1")
-    _check_dit(x2, d, "x2")
-    state = qudit.anchor_state(d)
-    state = qudit.apply_clock(state, x2)
-    return qudit.apply_shift(state, x1)
-
-
 def encode_restricted(spec: ProtocolSpec, x1: int, x2: int) -> np.ndarray:
     """Encode (x1, x2) into dimension ``spec.d_prime`` under the gating rule.
 
+    On a full spec (``d_prime == d``) this is Shift^x1 Clock^x2 on the anchor.
     A dit counts as representable when it is strictly below ``d_prime``;
     the exponent ``d_prime`` itself would alias to the identity.
     """
-    _check_dit(x1, spec.d, "x1")
-    _check_dit(x2, spec.d, "x2")
+    check_int(x1, "x1", 0, spec.d - 1)
+    check_int(x2, "x2", 0, spec.d - 1)
     m = spec.d_prime
     state = qudit.anchor_state(m)
     if spec.variant is GatingVariant.BOTH_OR_NOTHING:
@@ -156,8 +135,7 @@ def guess_from_outcome(outcome: int, spec: ProtocolSpec) -> GuessDistribution:
     uniformly from {0, d_prime, ..., d-1}; for d_prime == d that set collapses
     to {0} and the rule degenerates to announcing 0.
     """
-    if not 0 <= outcome < spec.d_prime:
-        raise ValueError(f"outcome must lie in 0..{spec.d_prime - 1}, got {outcome}")
+    check_int(outcome, "outcome", 0, spec.d_prime - 1)
     if outcome >= 1:
         return GuessDistribution(((outcome, 1.0),))
     fallback = (0, *range(spec.d_prime, spec.d))
@@ -233,8 +211,7 @@ def exact_success(spec: ProtocolSpec) -> SuccessReport:
 
 def closed_form_full(d: int) -> float:
     """Average success of the full protocol: (1 + 1/sqrt(d)) / 2."""
-    if d < 1:
-        raise ValueError(f"alphabet size must be positive, got {d}")
+    check_int(d, "alphabet size d", 1)
     return 0.5 * (1.0 + 1.0 / math.sqrt(d))
 
 
@@ -244,9 +221,7 @@ def closed_form_restricted(d: int, r: int) -> float:
     Equals ((d - r) / (2 d)) * (1 + 1/sqrt(d - r)); reduces to the full
     closed form at r = 0.
     """
-    if d < 1:
-        raise ValueError(f"alphabet size must be positive, got {d}")
-    if not 0 <= r < d:
-        raise ValueError(f"dimensional advantage must satisfy 0 <= r < d, got r={r}, d={d}")
+    check_int(d, "alphabet size d", 1)
+    check_int(r, "dimensional advantage r", 0, d - 1)
     m = d - r
     return (m / (2.0 * d)) * (1.0 + 1.0 / math.sqrt(m))

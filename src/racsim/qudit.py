@@ -13,39 +13,13 @@ and stays exact up to floating-point phase evaluation.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
+
+from .report import check_int
 
 #: Tolerance for norm / orthogonality assertions.  Double precision keeps the
 #: error of every operation in this package far below this for dim <= ~100.
 ATOL = 1e-12
-
-
-class PauliKind(enum.Enum):
-    """Which generalized Pauli operator a :class:`PauliPower` refers to."""
-
-    SHIFT = "shift"
-    CLOCK = "clock"
-
-
-@dataclass(frozen=True)
-class PauliPower:
-    """An integer power of the shift or clock operator.
-
-    The power may be any integer; it is reduced modulo the dimension of the
-    state the operator is applied to, since both operators have period dim.
-    """
-
-    kind: PauliKind
-    power: int
-
-
-def _check_dim(dim: int) -> int:
-    if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
-        raise ValueError(f"dimension must be a positive integer, got {dim!r}")
-    return int(dim)
 
 
 def _check_state(state: np.ndarray) -> np.ndarray:
@@ -57,19 +31,19 @@ def _check_state(state: np.ndarray) -> np.ndarray:
 
 def root_of_unity(dim: int) -> complex:
     """Primitive dim-th root of unity exp(2*pi*i/dim)."""
-    dim = _check_dim(dim)
+    dim = check_int(dim, "dimension", 1)
     return complex(np.exp(2j * np.pi / dim))
 
 
 def computational_basis(dim: int) -> np.ndarray:
     """The standard basis {|0>, ..., |dim-1>} as rows of the identity."""
-    dim = _check_dim(dim)
+    dim = check_int(dim, "dimension", 1)
     return np.eye(dim, dtype=complex)
 
 
 def fourier_basis(dim: int) -> np.ndarray:
     """Discrete-Fourier basis: row l has amplitude omega^(k*l)/sqrt(dim) at index k."""
-    dim = _check_dim(dim)
+    dim = check_int(dim, "dimension", 1)
     # Reduce the exponent mod dim before exponentiating to keep phases exact
     # for large dim*l products.
     exponents = np.outer(np.arange(dim), np.arange(dim)) % dim
@@ -81,7 +55,7 @@ def anchor_state(dim: int) -> np.ndarray:
 
     The normalization constant is sqrt(2 + 2/sqrt(dim)).
     """
-    dim = _check_dim(dim)
+    dim = check_int(dim, "dimension", 1)
     amps = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
     amps[0] += 1.0
     return amps / np.sqrt(2.0 + 2.0 / np.sqrt(dim))
@@ -89,7 +63,7 @@ def anchor_state(dim: int) -> np.ndarray:
 
 def clock_phases(dim: int, power: int) -> np.ndarray:
     """Diagonal of Clock^power: entry k is omega^(k*power)."""
-    dim = _check_dim(dim)
+    dim = check_int(dim, "dimension", 1)
     exponents = (np.arange(dim) * (power % dim)) % dim
     return np.exp(2j * np.pi * exponents / dim)
 
@@ -104,14 +78,6 @@ def apply_clock(state: np.ndarray, power: int) -> np.ndarray:
     """Multiply the amplitude at index k by omega^(k*power)."""
     state = _check_state(state)
     return state * clock_phases(state.shape[0], power)
-
-
-def apply_pauli(state: np.ndarray, op: PauliPower) -> np.ndarray:
-    if op.kind is PauliKind.SHIFT:
-        return apply_shift(state, op.power)
-    if op.kind is PauliKind.CLOCK:
-        return apply_clock(state, op.power)
-    raise ValueError(f"unknown operator kind {op.kind!r}")
 
 
 def born_distribution(state: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Success bookkeeping shared by the quantum and classical evaluators."""
+"""Success bookkeeping and argument checks shared by every module."""
 
 from __future__ import annotations
 
@@ -31,6 +31,17 @@ class SuccessReport:
         worst = float(per_input.mean(axis=-1).min())
         return cls(average=average, worst_case=worst, per_input=per_input)
 
-    @property
-    def question_count(self) -> int:
-        return self.per_input.shape[-1]
+
+def check_int(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as a Python int, after checking it is an integer in low..high.
+
+    Python and numpy integers are accepted; ``bool`` and every other type are
+    rejected with ``ValueError``, as is a value outside the range (``high``
+    None leaves it open above).
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bounds = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+    return int(value)

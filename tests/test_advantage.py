@@ -116,6 +116,25 @@ class TestScan:
         with pytest.raises(ValueError):
             scan(5, 2)
 
+    @pytest.mark.parametrize(
+        "func, args",
+        [
+            (scan, (2.5, 6)),
+            (scan, (2, 6.0)),
+            (r_max, (2.5,)),
+            (r_max, (True,)),
+            (advantage_holds, (6, 1.0)),
+            (advantage_holds, (6.5, 1)),
+            (restricted_exact_value, (5.0, 1)),
+            (ratio_argmax, (2, 10.5)),
+        ],
+        ids=["scan-dmin", "scan-dmax", "r_max-float", "r_max-bool", "holds-r", "holds-d",
+             "exact-value-d", "ratio-argmax"],
+    )
+    def test_rejects_non_integers(self, func, args):
+        with pytest.raises(ValueError):
+            func(*args)
+
 
 class TestRatioRemark:
     def test_full_to_classical_ratio_peaks_at_six(self):

@@ -124,6 +124,24 @@ class TestClosedFormClassical:
         with pytest.raises(ValueError):
             closed_form_classical(4, 2)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: ClassicalTask(2.5, 3), id="task-float-n"),
+            pytest.param(lambda: ClassicalTask(True, 3), id="task-bool-n"),
+            pytest.param(lambda: ClassicalTask(2, 3.0), id="task-float-d"),
+            pytest.param(lambda: closed_form_classical(2, 2.5), id="closed-form-float-d"),
+            pytest.param(lambda: closed_form_classical(2.0, 3), id="closed-form-float-n"),
+            pytest.param(
+                lambda: optimal_classical_bruteforce(ClassicalTask(2, 2), max_tuples=1e6),
+                id="oracle-float-budget",
+            ),
+        ],
+    )
+    def test_rejects_non_integer_sizes(self, call):
+        with pytest.raises(ValueError):
+            call()
+
 
 class TestOracle:
     @pytest.mark.parametrize(

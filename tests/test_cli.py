@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from racsim import quantum
 from racsim.classical import majority_identity_strategy, strategy_to_text
 from racsim.classical import ClassicalTask
 from racsim.cli import main
@@ -51,6 +52,16 @@ class TestExact:
             capsys, "exact", "--task", "restricted", "--d", "6", "--dprime", "7"
         )
         assert code == 2
+
+    def test_oversized_request_is_a_usage_error(self, capsys, monkeypatch):
+        def exhausted(spec):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(quantum, "exact_success", exhausted)
+        code, out, err = run_cli(capsys, "exact", "--task", "full", "--d", "1000000")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: Unable to allocate 7.28 TiB for an array"]
 
 
 class TestScan:
@@ -107,6 +118,11 @@ class TestOracle:
         code, _, err = run_cli(capsys, "oracle", "--n", "2", "--d", "6")
         assert code == 3
         assert "2176782336" in err
+
+    def test_negative_budget_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "oracle", "--n", "2", "--d", "2", "--max-tuples", "-1")
+        assert code == 2
+        assert "max_tuples" in err
 
     def test_json_witness_is_valid_strategy(self, capsys):
         _, out, _ = run_cli(capsys, "oracle", "--n", "3", "--d", "2", "--format", "json")

@@ -41,6 +41,11 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             TrialConfig(trials=1, seed=2**64)
 
+    @pytest.mark.parametrize("trials, seed", [(1.5, 0), (True, 0), (10, 0.5), (10, False)])
+    def test_rejects_non_integers(self, trials, seed):
+        with pytest.raises(ValueError):
+            TrialConfig(trials=trials, seed=seed)
+
 
 class TestReproducibility:
     def test_identical_config_identical_estimate(self):

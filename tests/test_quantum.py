@@ -13,7 +13,6 @@ from racsim.quantum import (
     closed_form_full,
     closed_form_restricted,
     decoding_basis,
-    encode_full,
     encode_restricted,
     exact_success,
     guess_from_outcome,
@@ -33,20 +32,26 @@ class TestProtocolSpec:
         assert ProtocolSpec(6, 5).r == 1
         assert ProtocolSpec.full(6).r == 0
 
-    @pytest.mark.parametrize("d, dprime", [(5, 6), (5, 0), (0, 0)])
+    @pytest.mark.parametrize("d, dprime", [(5, 6), (5, 0), (0, 0), (6.5, 5), (True, 1), (6, 5.0)])
     def test_rejects_bad_dimensions(self, d, dprime):
         with pytest.raises(ValueError):
             ProtocolSpec(d, dprime)
 
 
 class TestEncodeFull:
+    """encode_restricted on a full spec: Shift^x1 Clock^x2 on the anchor."""
+
     def test_zero_string_is_anchor(self):
         for d in (2, 3, 7):
-            np.testing.assert_allclose(encode_full(d, 0, 0), qudit.anchor_state(d), atol=1e-15)
+            np.testing.assert_allclose(
+                encode_restricted(ProtocolSpec.full(d), 0, 0), qudit.anchor_state(d), atol=1e-15
+            )
 
     def test_qubit_bitflip_encoding(self):
         np.testing.assert_allclose(
-            encode_full(2, 1, 0), qudit.apply_shift(qudit.anchor_state(2), 1), atol=1e-15
+            encode_restricted(ProtocolSpec.full(2), 1, 0),
+            qudit.apply_shift(qudit.anchor_state(2), 1),
+            atol=1e-15,
         )
 
     def test_first_dit_overlap_is_closed_form(self):
@@ -54,7 +59,7 @@ class TestEncodeFull:
         for d in (2, 3, 5, 8):
             for x1 in range(d):
                 for x2 in range(d):
-                    state = encode_full(d, x1, x2)
+                    state = encode_restricted(ProtocolSpec.full(d), x1, x2)
                     assert abs(state[x1]) ** 2 == pytest.approx(
                         0.5 * (1 + 1 / math.sqrt(d)), abs=1e-12
                     )
@@ -64,7 +69,7 @@ class TestEncodeFull:
             for x1 in range(d):
                 for x2 in range(d):
                     np.testing.assert_allclose(
-                        encode_full(d, x1, x2),
+                        encode_restricted(ProtocolSpec.full(d), x1, x2),
                         dense_encode(d, d, x1, x2, "canonical"),
                         atol=1e-12,
                     )
@@ -72,12 +77,13 @@ class TestEncodeFull:
     def test_unit_norm_randomized(self):
         for _ in range(300):
             d = int(RNG.integers(1, 17))
-            state = encode_full(d, int(RNG.integers(0, d)), int(RNG.integers(0, d)))
+            x1, x2 = int(RNG.integers(0, d)), int(RNG.integers(0, d))
+            state = encode_restricted(ProtocolSpec.full(d), x1, x2)
             assert qudit.is_unit_norm(state)
 
     def test_rejects_out_of_range_dit(self):
         with pytest.raises(ValueError):
-            encode_full(3, 3, 0)
+            encode_restricted(ProtocolSpec.full(3), 3, 0)
 
 
 class TestEncodeRestricted:
@@ -87,7 +93,9 @@ class TestEncodeRestricted:
             for x1 in range(6):
                 for x2 in range(6):
                     np.testing.assert_allclose(
-                        encode_restricted(spec, x1, x2), encode_full(6, x1, x2), atol=1e-15
+                        encode_restricted(spec, x1, x2),
+                        encode_restricted(ProtocolSpec.full(6), x1, x2),
+                        atol=1e-15,
                     )
 
     def test_literal_gating_sends_anchor_when_either_dit_overflows(self):
@@ -251,3 +259,12 @@ class TestClosedForms:
     def test_rejects_r_at_least_d(self):
         with pytest.raises(ValueError):
             closed_form_restricted(4, 4)
+
+    @pytest.mark.parametrize(
+        "form, args",
+        [(closed_form_full, (2.5,)), (closed_form_full, (True,)), (closed_form_restricted, (6, 1.5))],
+        ids=["full-float", "full-bool", "restricted-float-r"],
+    )
+    def test_rejects_non_integers(self, form, args):
+        with pytest.raises(ValueError):
+            form(*args)

@@ -75,13 +75,6 @@ class TestApplyPauli:
         np.testing.assert_allclose(qudit.apply_shift(state, dim), state, atol=1e-12)
         np.testing.assert_allclose(qudit.apply_clock(state, dim), state, atol=1e-12)
 
-    def test_dispatch_matches_direct_application(self):
-        state = random_state(5)
-        shift = qudit.PauliPower(qudit.PauliKind.SHIFT, 3)
-        clock = qudit.PauliPower(qudit.PauliKind.CLOCK, -2)
-        np.testing.assert_allclose(qudit.apply_pauli(state, shift), qudit.apply_shift(state, 3))
-        np.testing.assert_allclose(qudit.apply_pauli(state, clock), qudit.apply_clock(state, -2))
-
     def test_unitarity_randomized(self):
         """Norm preservation over 1000 random (dim, power, state) cases."""
         for _ in range(1000):
