@@ -177,7 +177,9 @@ def cmd_oracle(args: argparse.Namespace) -> Report:
     if args.n is None or args.d is None:
         raise ValueError("oracle needs --n and --d (or --evaluate <path>)")
     task = classical.ClassicalTask(args.n, args.d)
-    result = classical.optimal_classical_bruteforce(task, max_tuples=args.max_tuples, allow_large=args.allow_large)
+    result = classical.optimal_classical_bruteforce(
+        task, max_tuples=args.max_tuples, allow_large=args.allow_large
+    )
     if args.witness_out is not None:
         _emit(classical.strategy_to_text(result.witness), args.witness_out)
     return Report(
@@ -230,15 +232,23 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
     tol = 1e-12
     checks: list[tuple[str, bool, str]] = []
 
-    worst = max(abs(quantum.exact_success(quantum.ProtocolSpec.full(d)).average - quantum.closed_form_full(d))
-                for d in range(2, 33))
+    worst = 0.0
+    for d in range(2, 33):
+        err = abs(
+            quantum.exact_success(quantum.ProtocolSpec.full(d)).average
+            - quantum.closed_form_full(d)
+        )
+        worst = max(worst, err)
     checks.append(("full protocol vs closed form, d=2..32", worst <= tol, f"max err {worst:.2e}"))
 
-    worst = max(
-        abs(quantum.exact_success(quantum.ProtocolSpec(d, d - r)).average - quantum.closed_form_restricted(d, r))
-        for d in range(2, 33)
-        for r in range(1, d - 1)
-    )
+    worst = 0.0
+    for d in range(2, 33):
+        for r in range(1, d - 1):
+            err = abs(
+                quantum.exact_success(quantum.ProtocolSpec(d, d - r)).average
+                - quantum.closed_form_restricted(d, r)
+            )
+            worst = max(worst, err)
     checks.append(
         ("restricted protocol vs closed form, d=2..32, 1<=r<d-1", worst <= tol, f"max err {worst:.2e}")
     )
@@ -272,7 +282,11 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
     bad = [row.d for row in rows if expected_bands[row.d] != row.r_max]
     checks.append(("staircase bands, d=2..50", not bad, f"mismatches at {bad}" if bad else "bands match"))
 
-    ties_ok = all(advantage.restricted_exact_value(d, r) == Fraction(d + 1, 2 * d) for d, r in [(5, 1), (11, 2)])
+    ties_ok = True
+    for d, r in [(5, 1), (11, 2)]:
+        exact = advantage.restricted_exact_value(d, r)
+        if exact != Fraction(d + 1, 2 * d):
+            ties_ok = False
     checks.append(("boundary ties are exact rational equalities", ties_ok, "(5,1) and (11,2)"))
 
     arg = advantage.ratio_argmax(2, 1000)
@@ -284,14 +298,20 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
     analytic = (13.5 + 12.5 / math.sqrt(5)) / 36.0
     ordered = literal < classical.closed_form_classical(2, 6) < quantum.closed_form_restricted(6, 1)
     checks.append(
-        ("literal gating regression at d=6, r=1", abs(literal - analytic) <= tol and ordered, f"value {literal:.10f}")
+        (
+            "literal gating regression at d=6, r=1",
+            abs(literal - analytic) <= tol and ordered,
+            f"value {literal:.10f}",
+        )
     )
     return checks
 
 
 def cmd_verify(args: argparse.Namespace) -> Report:
     checks = _verify_checks()
-    lines = [f"{'PASS' if ok else 'FAIL'}  {name}  [{detail}]" for name, ok, detail in checks]
+    lines = []
+    for name, ok, detail in checks:
+        lines.append(f"{'PASS' if ok else 'FAIL'}  {name}  [{detail}]")
     failed = sum(1 for _, ok, _ in checks if not ok)
     lines.append(f"{len(checks) - failed}/{len(checks)} checks passed")
     return Report("verify", {}, table=lambda: lines, status=_EXIT_VERIFY_FAILED if failed else 0)
@@ -376,7 +396,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
         report = args.func(args)
         _render(report, args)
