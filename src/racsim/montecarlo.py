@@ -10,8 +10,9 @@ order.  Quantum protocols draw five arrays (first dits, second dits,
 questions, outcome uniforms, guess uniforms); classical strategies draw the
 input matrix and then the questions.
 
-Outcome sampling inverts the cumulative Born distribution computed once per
-distinct (input, question) cell; no state collapse is simulated.
+Outcome sampling inverts the cumulative Born distribution of the trial's
+(input, question) cell, read from the rolled Born table that exact evaluation
+uses; no state collapse is simulated.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import DeterministicStrategy
-from .quantum import ProtocolSpec, decoding_basis, encode_restricted
+from .quantum import ProtocolSpec, _born_table, _powers, guess_from_outcome
 from .report import check_int
-from . import qudit
 
 _CHUNK = 1 << 17
 
@@ -55,25 +55,8 @@ def _estimate(successes: int, trials: int) -> Estimate:
     return Estimate(mean=mean, stderr=math.sqrt(mean * (1.0 - mean) / trials), trials=trials)
 
 
-def _quantum_tables(spec: ProtocolSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell outcome CDFs (d*d*2 rows) and the outcome-0 guess set."""
-    d, m = spec.d, spec.d_prime
-    bases = [decoding_basis(m, 1), decoding_basis(m, 2)]
-    cdfs = np.empty((d * d * 2, m))
-    for x1 in range(d):
-        for x2 in range(d):
-            state = encode_restricted(spec, x1, x2)
-            for yi, basis in enumerate(bases):
-                born = qudit.born_distribution(state, basis)
-                cdfs[(x1 * d + x2) * 2 + yi] = np.cumsum(born)
-    # Guard against cumulative rounding pushing a uniform past the last level.
-    cdfs[:, -1] = 1.0
-    guess_set = np.array([0, *range(m, d)], dtype=np.int64)
-    return cdfs, guess_set
-
-
-def _play_quantum(spec: ProtocolSpec, config: TrialConfig) -> np.ndarray:
-    """Trial records as columns (x1, x2, y, answer, success)."""
+def _play_quantum(spec: ProtocolSpec, config: TrialConfig) -> tuple[np.ndarray, ...]:
+    """Trial columns (x1, x2, y, answer)."""
     d = spec.d
     rng = np.random.default_rng(config.seed)
     trials = config.trials
@@ -83,19 +66,20 @@ def _play_quantum(spec: ProtocolSpec, config: TrialConfig) -> np.ndarray:
     u_outcome = rng.random(trials)
     u_guess = rng.random(trials)
 
-    cdfs, guess_set = _quantum_tables(spec)
+    cdfs = np.cumsum(_born_table(spec), axis=-1)  # [y-1, power, outcome]
+    # Guard against cumulative rounding pushing a uniform past the last level.
+    cdfs[..., -1] = 1.0
+    guess_set = np.array([a for a, _ in guess_from_outcome(0, spec).support], dtype=np.int64)
     fallback = len(guess_set)
-    cells = (x1 * d + x2) * 2 + (y - 1)
     answers = np.empty(trials, dtype=np.int64)
     for start in range(0, trials, _CHUNK):
-        stop = min(start + _CHUNK, trials)
-        rows = cdfs[cells[start:stop]]
-        outcome = (u_outcome[start:stop, None] >= rows).sum(axis=1)
-        guess_idx = np.minimum((u_guess[start:stop] * fallback).astype(np.int64), fallback - 1)
-        answers[start:stop] = np.where(outcome == 0, guess_set[guess_idx], outcome)
-    targets = np.where(y == 1, x1, x2)
-    success = answers == targets
-    return np.stack([x1, x2, y, answers, success.astype(np.int64)], axis=1)
+        chunk = slice(start, min(start + _CHUNK, trials))
+        a, b = _powers(spec, x1[chunk], x2[chunk])
+        rows = cdfs[y[chunk] - 1, np.where(y[chunk] == 1, a, b)]
+        outcome = (u_outcome[chunk, None] >= rows).sum(axis=1)
+        guess_idx = np.minimum((u_guess[chunk] * fallback).astype(np.int64), fallback - 1)
+        answers[chunk] = np.where(outcome == 0, guess_set[guess_idx], outcome)
+    return x1, x2, y, answers
 
 
 def _play_classical(strategy: DeterministicStrategy, config: TrialConfig) -> np.ndarray:
@@ -120,8 +104,8 @@ def simulate(protocol: ProtocolSpec | DeterministicStrategy, config: TrialConfig
     Identical (protocol, config) pairs reproduce identical estimates.
     """
     if isinstance(protocol, ProtocolSpec):
-        records = _play_quantum(protocol, config)
-        successes = int(records[:, 4].sum())
+        x1, x2, y, answers = _play_quantum(protocol, config)
+        successes = int(np.count_nonzero(answers == np.where(y == 1, x1, x2)))
     elif isinstance(protocol, DeterministicStrategy):
         successes = int(_play_classical(protocol, config).sum())
     else:
@@ -136,7 +120,7 @@ def answer_counts(spec: ProtocolSpec, config: TrialConfig) -> np.ndarray:
     full record of an identically-seeded run.
     """
     d = spec.d
-    records = _play_quantum(spec, config)
+    x1, x2, y, answers = _play_quantum(spec, config)
     counts = np.zeros((d, d, 2, d), dtype=np.int64)
-    np.add.at(counts, (records[:, 0], records[:, 1], records[:, 2] - 1, records[:, 3]), 1)
+    np.add.at(counts, (x1, x2, y - 1, answers), 1)
     return counts

@@ -11,8 +11,11 @@ on the dit being representable, and a computational/Fourier outcome of 0
 triggers a uniformly random guess over the alphabet values the encoder cannot
 distinguish from 0.
 
-Exact success probabilities are computed by full enumeration of the game and
-are also available in closed form.
+Every encoded state is Shift^a Clock^b on the anchor, so each measurement
+sees the anchor's Born distribution in its decoding basis rolled by one
+power.  Exact success probabilities read every (input, question) cell of the
+game from those 2*d_prime rolled distributions, and are also available in
+closed form.
 """
 
 from __future__ import annotations
@@ -95,27 +98,31 @@ class GuessDistribution:
         return vec
 
 
+def _powers(spec: ProtocolSpec, x1, x2) -> tuple[np.ndarray, np.ndarray]:
+    """Shift and clock powers the encoder applies to (x1, x2), elementwise.
+
+    A dit is representable when it is strictly below ``d_prime`` (the power
+    ``d_prime`` would alias to 0); the gating variant zeroes the others.
+    """
+    m = spec.d_prime
+    x1, x2 = np.asarray(x1), np.asarray(x2)
+    fits1, fits2 = x1 < m, x2 < m
+    if spec.variant is GatingVariant.BOTH_OR_NOTHING:
+        fits1 = fits2 = fits1 & fits2
+    return np.where(fits1, x1, 0), np.where(fits2, x2, 0)
+
+
 def encode_restricted(spec: ProtocolSpec, x1: int, x2: int) -> np.ndarray:
     """Encode (x1, x2) into dimension ``spec.d_prime`` under the gating rule.
 
-    On a full spec (``d_prime == d``) this is Shift^x1 Clock^x2 on the anchor.
-    A dit counts as representable when it is strictly below ``d_prime``;
-    the exponent ``d_prime`` itself would alias to the identity.
+    The state is Shift^a Clock^b on the anchor, with the powers (a, b) of
+    :func:`_powers`; on a full spec (``d_prime == d``) that is Shift^x1 Clock^x2.
     """
     check_int(x1, "x1", 0, spec.d - 1)
     check_int(x2, "x2", 0, spec.d - 1)
-    m = spec.d_prime
-    state = qudit.anchor_state(m)
-    if spec.variant is GatingVariant.BOTH_OR_NOTHING:
-        if x1 < m and x2 < m:
-            state = qudit.apply_clock(state, x2)
-            state = qudit.apply_shift(state, x1)
-        return state
-    if x2 < m:
-        state = qudit.apply_clock(state, x2)
-    if x1 < m:
-        state = qudit.apply_shift(state, x1)
-    return state
+    a, b = _powers(spec, x1, x2)
+    state = qudit.apply_clock(qudit.anchor_state(spec.d_prime), int(b))
+    return qudit.apply_shift(state, int(a))
 
 
 def decoding_basis(d_prime: int, y: int) -> np.ndarray:
@@ -151,61 +158,38 @@ def guess_matrix(spec: ProtocolSpec) -> np.ndarray:
     return mat
 
 
+def _born_table(spec: ProtocolSpec) -> np.ndarray:
+    """Born distributions T[y-1, p, l] of outcome l for question y at power p.
+
+    Shift^a Clock^b rolls the anchor's computational-basis distribution by a
+    and its Fourier-basis distribution by b, leaving the other one alone.
+    """
+    m = spec.d_prime
+    anchor = qudit.anchor_state(m)
+    base = np.stack([qudit.born_distribution(anchor, decoding_basis(m, y)) for y in (1, 2)])
+    rolls = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m  # [p, l] -> l - p
+    return base[:, rolls]
+
+
 def answer_distribution(spec: ProtocolSpec, x1: int, x2: int, y: int) -> np.ndarray:
     """Exact distribution of the announced answer for one (input, question) cell."""
-    state = encode_restricted(spec, x1, x2)
-    born = qudit.born_distribution(state, decoding_basis(spec.d_prime, y))
-    return born @ guess_matrix(spec)
-
-
-def _encoded_states(spec: ProtocolSpec) -> np.ndarray:
-    """All d*d encoded states as rows, input (x1, x2) at row x1*d + x2.
-
-    Equivalent to calling :func:`encode_restricted` per input, but built in
-    one shot: the clock only ever phases the anchor with one of ``d_prime``
-    distinct diagonals and the shift only ever rolls by one of ``d_prime``
-    offsets, so every state is a lookup into a precomputed (b, a, k) cube.
-    """
-    d, m = spec.d, spec.d_prime
-    anchor = qudit.anchor_state(m)
-    exponents = np.outer(np.arange(m), np.arange(m)) % m
-    phased = anchor[None, :] * np.exp(2j * np.pi * exponents / m)  # [b, k]
-    roll_index = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m  # [a, k]
-    cube = phased[:, roll_index]  # [b, a, k]
-
-    dits = np.arange(d)
-    gated = np.where(dits < m, dits, 0)
-    a_grid, b_grid = np.meshgrid(gated, gated, indexing="ij")  # over (x1, x2)
-    if spec.variant is GatingVariant.BOTH_OR_NOTHING:
-        x1_grid, x2_grid = np.meshgrid(dits, dits, indexing="ij")
-        out_of_range = (x1_grid >= m) | (x2_grid >= m)
-        a_grid = np.where(out_of_range, 0, a_grid)
-        b_grid = np.where(out_of_range, 0, b_grid)
-    return cube[b_grid, a_grid].reshape(d * d, m)
+    check_int(x1, "x1", 0, spec.d - 1)
+    check_int(x2, "x2", 0, spec.d - 1)
+    check_int(y, "question index y", 1, 2)
+    power = _powers(spec, x1, x2)[y - 1]
+    return _born_table(spec)[y - 1, power] @ guess_matrix(spec)
 
 
 def exact_success(spec: ProtocolSpec) -> SuccessReport:
     """Enumerate the whole game and report exact success probabilities.
 
-    For every input pair and both questions this computes the Born
-    distribution of the decoding measurement on the encoded state, composes
-    it with the outcome-conditional guess rule, and records the probability
-    of announcing the correct dit.
+    Each (input, question) cell reads the probability of announcing its dit
+    from the answer-table row that its gated power selects.
     """
-    d, m = spec.d, spec.d_prime
-    states = _encoded_states(spec)
-    gmat = guess_matrix(spec)
-    p_comp = np.abs(states) ** 2
-    p_four = np.abs(states @ qudit.fourier_basis(m).conj().T) ** 2
-    answers_comp = p_comp @ gmat
-    answers_four = p_four @ gmat
-
-    x1_idx = np.repeat(np.arange(d), d)
-    x2_idx = np.tile(np.arange(d), d)
-    rows = np.arange(d * d)
-    per_input = np.empty((d, d, 2))
-    per_input[..., 0] = answers_comp[rows, x1_idx].reshape(d, d)
-    per_input[..., 1] = answers_four[rows, x2_idx].reshape(d, d)
+    answers = _born_table(spec) @ guess_matrix(spec)  # [y-1, power, answer]
+    x1, x2 = np.meshgrid(np.arange(spec.d), np.arange(spec.d), indexing="ij")
+    a, b = _powers(spec, x1, x2)
+    per_input = np.stack([answers[0, a, x1], answers[1, b, x2]], axis=-1)
     return SuccessReport.from_per_input(per_input)
 
 

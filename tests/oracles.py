@@ -73,6 +73,23 @@ def dense_game(d: int, d_prime: int, variant: str) -> tuple[float, float, np.nda
     return float(per.mean()), float(per.mean(axis=-1).min()), per
 
 
+def dense_answer_distribution(d: int, d_prime: int, x1: int, x2: int, y: int, variant: str) -> np.ndarray:
+    """Distribution of the announced answer for one (input, question) cell."""
+    state = dense_encode(d, d_prime, x1, x2, variant)
+    basis = np.eye(d_prime, dtype=complex) if y == 1 else fourier_matrix(d_prime)
+    fallback = [0] + list(range(d_prime, d))
+    dist = np.zeros(d)
+    for outcome in range(d_prime):
+        projector = np.outer(basis[outcome], basis[outcome].conj())
+        prob = np.vdot(state, projector @ state).real
+        if outcome >= 1:
+            dist[outcome] += prob
+        else:
+            for answer in fallback:
+                dist[answer] += prob / len(fallback)
+    return dist
+
+
 def classical_average(n: int, d: int, encoder: dict, decoders: list[dict]) -> float:
     hits = 0
     for x in itertools.product(range(d), repeat=n):

@@ -19,7 +19,7 @@ from racsim.quantum import (
     guess_matrix,
 )
 
-from oracles import dense_encode, dense_game
+from oracles import dense_answer_distribution, dense_encode, dense_game
 
 RNG = np.random.default_rng(424242)
 
@@ -187,7 +187,7 @@ class TestExactSuccess:
         assert report.average == pytest.approx(expected, abs=1e-12)
         assert report.worst_case == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("d", range(2, 65))
+    @pytest.mark.parametrize("d", [*range(2, 65), 512])
     def test_full_protocol_matches_closed_form(self, d):
         report = exact_success(ProtocolSpec.full(d))
         assert report.average == pytest.approx(closed_form_full(d), abs=1e-12)
@@ -216,7 +216,10 @@ class TestExactSuccess:
                 assert literal.average < independent.average, (d, r)
 
     def test_matches_dense_oracle(self):
-        for d, m, variant in [(2, 2, "canonical"), (6, 5, "canonical"), (6, 5, "literal"), (7, 4, "literal")]:
+        for d, m, variant in [
+            (2, 2, "canonical"), (6, 5, "canonical"), (6, 5, "literal"), (7, 4, "literal"),
+            (13, 9, "canonical"), (13, 9, "literal"), (16, 16, "canonical"),
+        ]:
             avg, worst, per = dense_game(d, m, variant)
             report = exact_success(ProtocolSpec(d, m, GatingVariant(variant)))
             assert report.average == pytest.approx(avg, abs=1e-12)
@@ -240,6 +243,19 @@ class TestExactSuccess:
                     assert dist.sum() == pytest.approx(1.0, abs=1e-12)
                     target = x1 if y == 1 else x2
                     assert per[x1, x2, y - 1] == pytest.approx(dist[target], abs=1e-12)
+
+    @pytest.mark.parametrize("d, m", [(6, 5), (7, 4), (9, 9)])
+    @pytest.mark.parametrize("variant", list(GatingVariant), ids=lambda v: v.value)
+    def test_answer_distribution_matches_dense_oracle(self, d, m, variant):
+        spec = ProtocolSpec(d, m, variant)
+        for x1 in range(d):
+            for x2 in range(d):
+                for y in (1, 2):
+                    np.testing.assert_allclose(
+                        answer_distribution(spec, x1, x2, y),
+                        dense_answer_distribution(d, m, x1, x2, y, variant.value),
+                        atol=1e-12,
+                    )
 
 
 class TestClosedForms:
