@@ -6,35 +6,39 @@ evaluates arbitrary strategies exactly, builds the majority-encoding
 identity-decoding strategy, knows the closed-form optima for n = 2 and n = 3,
 and ships an exhaustive oracle that recovers the optimum at small sizes.
 
-The oracle enumerates decoder tuples only: once the decoders are fixed, the
-best encoder picks, for each input independently, a message maximizing the
-number of questions answered correctly, so encoders never need to be
-enumerated.
+The oracle enumerates multisets of decoder columns only.  The best encoder
+picks, for each input independently, a message whose column of answers
+(f_1(m), ..., f_n(m)) gets the most questions right, so it never needs to be
+enumerated, and message labels do not change the value.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .report import SuccessReport, check_int
 
-#: Decoder-tuple budget below which the oracle runs without an override.
-#: Covers (n=2, d<=5) at ~9.8M pairs and (n=3, d<=3) at ~20k triples.
+#: Column-multiset budget below which the oracle runs without an override.
+#: Covers (n=2, d<=6) at ~4.5M, (n=3, d<=4) at ~766k and (n<=5, d=3) at ~2.4M.
 DEFAULT_TUPLE_BUDGET = 10_000_000
+
+#: Cells of the (rows, columns, inputs) int8 block the oracle scores at once.
+_BLOCK_CELLS = 1 << 22
 
 
 class InfeasibleSearchError(ValueError):
-    """Raised when an exhaustive search would exceed its tuple budget."""
+    """Raised when an exhaustive search would exceed its multiset budget."""
 
     def __init__(self, required: int, budget: int):
         self.required = required
         self.budget = budget
         super().__init__(
-            f"exhaustive search needs {required} decoder tuples, above the budget "
-            f"of {budget}; pass allow_large=True to run a symmetry-reduced search"
+            f"exhaustive search needs {required} column multisets, above the budget "
+            f"of {budget}; pass allow_large=True to run it anyway"
         )
 
 
@@ -157,17 +161,6 @@ def closed_form_classical(n: int, d: int) -> float:
     return (1.0 + 3.0 / d - 1.0 / d**2) / 3.0
 
 
-def _decoder_functions(d: int) -> np.ndarray:
-    """All d^d decoder tables as rows, in lexicographic order."""
-    return all_inputs(d, d)
-
-
-def _nondecreasing_rows(funcs: np.ndarray) -> np.ndarray:
-    if funcs.shape[1] < 2:
-        return np.ones(funcs.shape[0], dtype=bool)
-    return np.all(funcs[:, 1:] >= funcs[:, :-1], axis=1)
-
-
 def optimal_classical_bruteforce(
     task: ClassicalTask,
     *,
@@ -176,76 +169,61 @@ def optimal_classical_bruteforce(
 ) -> OracleResult:
     """Exact maximum average success over all deterministic strategies.
 
-    Only decoder tuples are enumerated; the encoder is optimized greedily per
-    input, which is lossless.  When the (d^d)^n tuple count exceeds
-    ``max_tuples`` the search refuses to run unless ``allow_large`` is set, in
-    which case the first decoder is canonicalized up to relabelings of the
-    message alphabet (any relabeling applied to all decoders at once leaves
-    the achievable value unchanged), shrinking the search by up to d!.
-
-    The reported witness carries the lexicographically smallest optimal
-    decoder tuple of the enumerated space and its greedy encoder.
+    Only the C(d^n + d - 1, d) multisets of decoder columns are enumerated.
+    When that count exceeds ``max_tuples`` the search refuses to run unless
+    ``allow_large`` is set.  The reported witness carries the
+    lexicographically smallest optimal decoder tuple and its greedy encoder.
     """
-    check_int(max_tuples, "tuple budget max_tuples", 0)
+    check_int(max_tuples, "multiset budget max_tuples", 0)
     n, d = task.n, task.d
-    func_count = d**d
-    required = func_count**n
-    reduce_first = False
-    if required > max_tuples:
-        if not allow_large:
-            raise InfeasibleSearchError(required, max_tuples)
-        reduce_first = True
+    cols = all_inputs(n, d)
+    count = len(cols)
+    required = math.comb(count + d - 1, d)
+    if required > max_tuples and not allow_large:
+        raise InfeasibleSearchError(required, max_tuples)
 
-    funcs = _decoder_functions(d)
-    # indicator[f, m, v] == 1 when decoder f answers v on message m
-    indicator = (funcs[:, :, None] == np.arange(d)).astype(np.int8)
+    # agree[x, c]: questions answered right on input x by a message of column c;
+    # inputs and columns are the same strings, so the table is symmetric.
+    agree = np.zeros((count, count), dtype=np.int8)
+    for y in range(n):
+        agree += cols[:, None, y] == cols[None, :, y]
+    block = max(1, _BLOCK_CELLS // count**2)
 
-    if reduce_first:
-        first_pool = np.nonzero(_nondecreasing_rows(funcs))[0]
-    else:
-        first_pool = np.arange(func_count)
+    best_count, best_key = -1, ()
+    # A multiset is a nondecreasing column sequence: the first d - 2 columns
+    # come from the loop, the last two (i, j) from one block of rows i at a time.
+    # Entries with j < i repeat the multiset of entry (j, i), which lies in the
+    # same block and sorts no later, so they need no mask.
+    for prefix in itertools.combinations_with_replacement(range(count), d - 2):
+        partial = agree[list(prefix)].max(axis=0, initial=0)
+        for top in range(prefix[-1] if prefix else 0, count, block):
+            rows = np.maximum(agree[top : top + block], partial)
+            counts = np.maximum(rows[:, None, :], agree[None, top:, :]).sum(axis=2, dtype=np.int64)
+            top_count = int(counts.max())
+            if top_count < best_count:
+                continue
+            i, j = np.nonzero(counts == top_count)
+            sets = [(*prefix, top + a, top + b) for a, b in zip(i.tolist(), j.tolist())]
+            # Columns in rank order give a multiset's smallest decoder tuple.
+            keys = cols[sets].transpose(0, 2, 1).reshape(len(sets), n * d)
+            key = tuple(keys[np.lexsort(keys.T[::-1])[0]].tolist())
+            if top_count > best_count or key < best_key:
+                best_count, best_key = top_count, key
 
-    # Broadcasting shape for decoder slot y: (messages,) then the value axis
-    # of question y, singleton elsewhere.
-    def slot_view(f_idx: int, y: int) -> np.ndarray:
-        shape = [d] + [1] * n
-        shape[1 + y] = d
-        return indicator[f_idx].reshape(shape)
-
-    batched_last = indicator.reshape((func_count, d) + (1,) * (n - 1) + (d,))
-    value_axes = tuple(range(1, n + 1))
-
-    best_count = -1
-    best_tuple: tuple[int, ...] | None = None
-    examined = 0
-    pools = [first_pool] + [range(func_count)] * (n - 2) if n >= 2 else []
-    for prefix in itertools.product(*pools):
-        partial = np.zeros((d,) + (1,) * n, dtype=np.int8)
-        for y, f_idx in enumerate(prefix):
-            partial = partial + slot_view(f_idx, y)
-        totals = partial[None, ...] + batched_last
-        counts = totals.max(axis=1).sum(axis=value_axes, dtype=np.int64)
-        examined += func_count
-        j = int(np.argmax(counts))
-        if counts[j] > best_count:
-            best_count = int(counts[j])
-            best_tuple = (*prefix, j)
-
-    assert best_tuple is not None
-    witness = _greedy_witness(task, funcs, best_tuple, best_count)
+    witness = _greedy_witness(task, np.reshape(best_key, (n, d)), best_count)
     optimum = best_count / (n * task.input_count)
-    return OracleResult(optimum=optimum, witness=witness, strategies_examined=examined)
+    return OracleResult(optimum=optimum, witness=witness, strategies_examined=required)
 
 
 def _greedy_witness(
-    task: ClassicalTask, funcs: np.ndarray, decoder_ids: tuple[int, ...], expected_count: int
+    task: ClassicalTask, decoders: np.ndarray, expected_count: int
 ) -> DeterministicStrategy:
-    """Strategy with the given decoders and the per-input greedy encoder."""
+    """Strategy with the given decoder rows and the per-input greedy encoder."""
     n, d = task.n, task.d
     inputs = all_inputs(n, d)
     score = np.zeros((task.input_count, d), dtype=np.int64)
-    for y, f_idx in enumerate(decoder_ids):
-        score += funcs[f_idx][None, :] == inputs[:, y][:, None]
+    for y, table in enumerate(decoders):
+        score += table[None, :] == inputs[:, y][:, None]
     encoder = score.argmax(axis=1)  # ties resolved toward the smallest message
     total = int(score.max(axis=1).sum())
     if total != expected_count:
@@ -254,7 +232,7 @@ def _greedy_witness(
         n=n,
         d=d,
         encoder=tuple(int(m) for m in encoder),
-        decoders=tuple(tuple(int(v) for v in funcs[f_idx]) for f_idx in decoder_ids),
+        decoders=tuple(tuple(int(v) for v in table) for table in decoders),
     )
 
 
@@ -265,8 +243,8 @@ def mixture_value(
     if not strategies:
         raise ValueError("mixture needs at least one strategy")
     weights = [w for _, w in strategies]
-    if any(w < 0 for w in weights):
-        raise ValueError(f"weights must be nonnegative, got {weights}")
+    if not all(math.isfinite(w) and w >= 0 for w in weights):
+        raise ValueError(f"weights must be finite and nonnegative, got {weights}")
     if abs(sum(weights) - 1.0) > 1e-12:
         raise ValueError(f"weights must sum to 1, got {sum(weights)}")
     return sum(w * evaluate_strategy(task, s).average for s, w in strategies)

@@ -365,12 +365,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-tuples",
         type=int,
         default=classical.DEFAULT_TUPLE_BUDGET,
-        help="decoder-tuple budget for the plain search",
+        help="column-multiset budget for the search",
     )
     p.add_argument(
         "--allow-large",
         action="store_true",
-        help="run over-budget sizes with message-relabeling symmetry reduction",
+        help="run sizes over the budget anyway",
     )
     p.add_argument("--evaluate", metavar="PATH", help="evaluate a strategy table file instead")
     p.add_argument(

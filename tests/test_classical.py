@@ -1,6 +1,7 @@
 """Classical strategies: evaluation, majority encoding, oracle, mixtures."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -163,7 +164,7 @@ class TestOracle:
 
     def test_examined_counts_whole_space(self):
         result = optimal_classical_bruteforce(ClassicalTask(2, 3))
-        assert result.strategies_examined == 27**2
+        assert result.strategies_examined == math.comb(11, 3)
 
     def test_greedy_encoder_reduction_is_lossless(self):
         """Full enumeration over all 16 encoders x 16 decoder pairs at (2, 2)."""
@@ -173,8 +174,8 @@ class TestOracle:
 
     def test_budget_error_names_the_required_count(self):
         with pytest.raises(InfeasibleSearchError) as exc:
-            optimal_classical_bruteforce(ClassicalTask(2, 6))
-        assert exc.value.required == 46656**2
+            optimal_classical_bruteforce(ClassicalTask(2, 7))
+        assert exc.value.required == math.comb(55, 7)
         assert str(exc.value.required) in str(exc.value)
 
     def test_symmetry_reduced_search_matches_plain(self):
@@ -185,23 +186,33 @@ class TestOracle:
             assert reduced.optimum == plain.optimum
             assert reduced.strategies_examined <= plain.strategies_examined
 
-    def test_witness_is_lexicographically_smallest(self):
-        # check against direct enumeration of optimal decoder pairs at (2, 2)
-        task = ClassicalTask(2, 2)
+    @pytest.mark.parametrize("n, d", [(2, 2), (2, 3), (3, 2)])
+    def test_witness_is_lexicographically_smallest(self, n, d):
+        # check against direct enumeration of optimal decoder tuples, in
+        # lexicographic order; the search enumerates column multisets, whose
+        # index order differs: at (2, 2), {(0,1),(0,1)} sorts before
+        # {(0,0),(1,0)} as a decoder tuple but after it by column index
+        task = ClassicalTask(n, d)
         result = optimal_classical_bruteforce(task)
-        tables = list(itertools.product(range(2), repeat=2))
+        tables = list(itertools.product(range(d), repeat=d))
         best = None
-        for d1 in tables:
-            for d2 in tables:
-                hits = 0
-                for x in itertools.product(range(2), repeat=2):
-                    hits += max(
-                        (d1[m] == x[0]) + (d2[m] == x[1]) for m in range(2)
-                    )
-                value = hits / 8
-                if value == pytest.approx(result.optimum) and best is None:
-                    best = (d1, d2)
+        for decoders in itertools.product(tables, repeat=n):
+            hits = 0
+            for x in itertools.product(range(d), repeat=n):
+                hits += max(
+                    sum(decoders[y][m] == x[y] for y in range(n)) for m in range(d)
+                )
+            value = hits / (n * d**n)
+            if value == pytest.approx(result.optimum) and best is None:
+                best = decoders
         assert result.witness.decoders == best
+
+    @pytest.mark.parametrize("n, d", [(1, 3), (3, 4), (4, 2), (4, 3), (5, 2)])
+    def test_majority_identity_is_optimal_at_new_sizes(self, n, d):
+        task = ClassicalTask(n, d)
+        result = optimal_classical_bruteforce(task)
+        assert result.optimum == evaluate_strategy(task, majority_identity_strategy(task)).average
+        assert evaluate_strategy(task, result.witness).average == result.optimum
 
 
 class TestMixtures:
@@ -241,6 +252,8 @@ class TestMixtures:
             mixture_value(task, [(send_first_bit(), 0.7)])
         with pytest.raises(ValueError):
             mixture_value(task, [(send_first_bit(), -1.0), (send_first_bit(), 2.0)])
+        with pytest.raises(ValueError):
+            mixture_value(task, [(send_first_bit(), 1.0), (send_first_bit(), float("nan"))])
 
 
 class TestStrategyBounds:

@@ -115,9 +115,9 @@ class TestOracle:
         assert "witness:" in out
 
     def test_infeasible_size_exits_three(self, capsys):
-        code, _, err = run_cli(capsys, "oracle", "--n", "2", "--d", "6")
+        code, _, err = run_cli(capsys, "oracle", "--n", "2", "--d", "7")
         assert code == 3
-        assert "2176782336" in err
+        assert "202927725" in err
 
     def test_negative_budget_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--n", "2", "--d", "2", "--max-tuples", "-1")
