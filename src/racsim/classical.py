@@ -26,7 +26,7 @@ from .report import SuccessReport, check_int
 #: Covers (n=2, d<=6) at ~4.5M, (n=3, d<=4) at ~766k and (n<=5, d=3) at ~2.4M.
 DEFAULT_TUPLE_BUDGET = 10_000_000
 
-#: Cells of the (rows, columns, inputs) int8 block the oracle scores at once.
+#: Cells of the (rows, columns, inputs) int8 block scored at once, or one row if larger.
 _BLOCK_CELLS = 1 << 22
 
 
@@ -130,9 +130,7 @@ def evaluate_strategy(task: ClassicalTask, strategy: DeterministicStrategy) -> S
     inputs = all_inputs(n, d)
     messages = np.asarray(strategy.encoder)
     decoders = np.asarray(strategy.decoders)
-    per = np.empty((task.input_count, n))
-    for y in range(n):
-        per[:, y] = decoders[y][messages] == inputs[:, y]
+    per = decoders[:, messages].T == inputs
     return SuccessReport.from_per_input(per.reshape((d,) * n + (n,)))
 
 
@@ -176,11 +174,11 @@ def optimal_classical_bruteforce(
     """
     check_int(max_tuples, "multiset budget max_tuples", 0)
     n, d = task.n, task.d
-    cols = all_inputs(n, d)
-    count = len(cols)
+    count = task.input_count
     required = math.comb(count + d - 1, d)
     if required > max_tuples and not allow_large:
         raise InfeasibleSearchError(required, max_tuples)
+    cols = all_inputs(n, d)
 
     # agree[x, c]: questions answered right on input x by a message of column c;
     # inputs and columns are the same strings, so the table is symmetric.
@@ -189,7 +187,7 @@ def optimal_classical_bruteforce(
         agree += cols[:, None, y] == cols[None, :, y]
     block = max(1, _BLOCK_CELLS // count**2)
 
-    best_count, best_key = -1, ()
+    best_count, best_key = -1, None
     # A multiset is a nondecreasing column sequence: the first d - 2 columns
     # come from the loop, the last two (i, j) from one block of rows i at a time.
     # Entries with j < i repeat the multiset of entry (j, i), which lies in the
@@ -204,15 +202,21 @@ def optimal_classical_bruteforce(
                 continue
             i, j = np.nonzero(counts == top_count)
             sets = [(*prefix, top + a, top + b) for a, b in zip(i.tolist(), j.tolist())]
-            # Columns in rank order give a multiset's smallest decoder tuple.
-            keys = cols[sets].transpose(0, 2, 1).reshape(len(sets), n * d)
-            key = tuple(keys[np.lexsort(keys.T[::-1])[0]].tolist())
-            if top_count > best_count or key < best_key:
-                best_count, best_key = top_count, key
+            if top_count > best_count:
+                best_count, best_key = top_count, None
+            best_key = _smallest_decoder_tuple(cols, sets, best_key)
 
     witness = _greedy_witness(task, np.reshape(best_key, (n, d)), best_count)
     optimum = best_count / (n * task.input_count)
     return OracleResult(optimum=optimum, witness=witness, strategies_examined=required)
+
+
+def _smallest_decoder_tuple(cols: np.ndarray, sets: list, incumbent: tuple | None) -> tuple:
+    """Smallest decoder tuple of ``incumbent`` and of the column multisets ``sets``."""
+    # Columns in rank order give a multiset's smallest decoder tuple.
+    keys = cols[sets].transpose(0, 2, 1).reshape(len(sets), -1)
+    key = tuple(keys[np.lexsort(keys.T[::-1])[0]].tolist())
+    return key if incumbent is None or key < incumbent else incumbent
 
 
 def _greedy_witness(
@@ -221,9 +225,7 @@ def _greedy_witness(
     """Strategy with the given decoder rows and the per-input greedy encoder."""
     n, d = task.n, task.d
     inputs = all_inputs(n, d)
-    score = np.zeros((task.input_count, d), dtype=np.int64)
-    for y, table in enumerate(decoders):
-        score += table[None, :] == inputs[:, y][:, None]
+    score = (decoders[None, :, :] == inputs[:, :, None]).sum(axis=1)
     encoder = score.argmax(axis=1)  # ties resolved toward the smallest message
     total = int(score.max(axis=1).sum())
     if total != expected_count:

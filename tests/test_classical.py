@@ -10,6 +10,8 @@ from racsim.classical import (
     ClassicalTask,
     DeterministicStrategy,
     InfeasibleSearchError,
+    _smallest_decoder_tuple,
+    all_inputs,
     closed_form_classical,
     evaluate_strategy,
     majority_identity_strategy,
@@ -178,6 +180,21 @@ class TestOracle:
         assert exc.value.required == math.comb(55, 7)
         assert str(exc.value.required) in str(exc.value)
 
+    def test_budget_is_checked_before_any_table_is_built(self):
+        # (40, 2) has 2^40 columns; refusing it must not allocate them first
+        with pytest.raises(InfeasibleSearchError) as exc:
+            optimal_classical_bruteforce(ClassicalTask(40, 2))
+        assert exc.value.required == math.comb(2**40 + 1, 2)
+
+    def test_smallest_decoder_tuple_is_not_column_index_order(self):
+        # at (2, 2), {(0,1),(0,1)} (columns 1, 1) reads as decoders (0,0),(1,1)
+        # and {(0,0),(1,0)} (columns 0, 2) as (0,1),(0,0): the first is the
+        # smaller decoder tuple, though the second comes first by column index
+        cols = all_inputs(2, 2)
+        assert _smallest_decoder_tuple(cols, [(0, 2), (1, 1)], None) == (0, 0, 1, 1)
+        assert _smallest_decoder_tuple(cols, [(0, 2)], (0, 0, 1, 1)) == (0, 0, 1, 1)
+        assert _smallest_decoder_tuple(cols, [(1, 1)], (0, 1, 0, 0)) == (0, 0, 1, 1)
+
     def test_symmetry_reduced_search_matches_plain(self):
         for n, d in [(2, 2), (2, 3), (3, 2)]:
             task = ClassicalTask(n, d)
@@ -189,9 +206,9 @@ class TestOracle:
     @pytest.mark.parametrize("n, d", [(2, 2), (2, 3), (3, 2)])
     def test_witness_is_lexicographically_smallest(self, n, d):
         # check against direct enumeration of optimal decoder tuples, in
-        # lexicographic order; the search enumerates column multisets, whose
-        # index order differs: at (2, 2), {(0,1),(0,1)} sorts before
-        # {(0,0),(1,0)} as a decoder tuple but after it by column index
+        # lexicographic order; at these sizes the first optimal multiset by
+        # column index gives the same witness, so the ordering itself is
+        # pinned by test_smallest_decoder_tuple_is_not_column_index_order
         task = ClassicalTask(n, d)
         result = optimal_classical_bruteforce(task)
         tables = list(itertools.product(range(d), repeat=d))

@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, formats, determinism, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -118,6 +119,11 @@ class TestOracle:
         code, _, err = run_cli(capsys, "oracle", "--n", "2", "--d", "7")
         assert code == 3
         assert "202927725" in err
+
+    def test_huge_size_exits_three_before_building_tables(self, capsys):
+        code, _, err = run_cli(capsys, "oracle", "--n", "40", "--d", "2")
+        assert code == 3
+        assert str(math.comb(2**40 + 1, 2)) in err
 
     def test_negative_budget_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--n", "2", "--d", "2", "--max-tuples", "-1")
