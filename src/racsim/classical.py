@@ -6,10 +6,18 @@ evaluates arbitrary strategies exactly, builds the majority-encoding
 identity-decoding strategy, knows the closed-form optima for n = 2 and n = 3,
 and ships an exhaustive oracle that recovers the optimum at small sizes.
 
-The oracle enumerates multisets of decoder columns only.  The best encoder
+The oracle searches multisets of decoder columns only.  The best encoder
 picks, for each input independently, a message whose column of answers
 (f_1(m), ..., f_n(m)) gets the most questions right, so it never needs to be
-enumerated, and message labels do not change the value.
+enumerated, and message labels do not change the value.  Relabeling the
+values of one position does not change it either, so of each orbit under
+message permutations and per-position relabelings only canonical column
+sequences are scored: c_0 <= ... <= c_{d-1} in rank order, every entry of
+c_m at most m.  The smallest decoder tuple of an orbit, read f_1's row
+first, is canonical: were f_y(m) > m its first entry over the bound, swapping
+that value with the smallest value missing from f_y(0..m-1) would lower the
+tuple.  So the optimum and the lexicographically smallest optimal decoder
+tuple are found among them.
 """
 
 from __future__ import annotations
@@ -26,7 +34,9 @@ from .report import SuccessReport, check_int
 #: Covers (n=2, d<=6) at ~4.5M, (n=3, d<=4) at ~766k and (n<=5, d=3) at ~2.4M.
 DEFAULT_TUPLE_BUDGET = 10_000_000
 
-#: Cells of the (rows, columns, inputs) int8 block scored at once, or one row if larger.
+#: Cells of the (rows i, columns j, inputs) int8 block scored at once.  Rows are
+#: gathered by level; a block holds at least one row, so above 2048 columns it
+#: is up to count**2 cells.
 _BLOCK_CELLS = 1 << 22
 
 
@@ -73,18 +83,28 @@ class DeterministicStrategy:
     decoders: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        check_int(self.n, "string length n", 1)
+        check_int(self.d, "alphabet size d", 2)
         if len(self.encoder) != self.d**self.n:
             raise ValueError(
                 f"encoder table must have {self.d ** self.n} entries, got {len(self.encoder)}"
             )
         if len(self.decoders) != self.n or any(len(t) != self.d for t in self.decoders):
             raise ValueError(f"need {self.n} decoder tables of {self.d} entries each")
-        entries = np.fromiter(
-            itertools.chain(self.encoder, *self.decoders),
-            dtype=np.int64,
-            count=len(self.encoder) + self.n * self.d,
-        )
-        if entries.size and (entries.min() < 0 or entries.max() >= self.d):
+        # one pass over the entries' types in C, then a check per distinct type
+        for kind in set(map(type, itertools.chain(self.encoder, *self.decoders))):
+            if kind is bool or not issubclass(kind, (int, np.integer)):
+                raise ValueError(f"table entries must be integers, got a {kind.__name__}")
+        try:
+            entries = np.fromiter(
+                itertools.chain(self.encoder, *self.decoders),
+                dtype=np.int64,
+                count=len(self.encoder) + self.n * self.d,
+            )
+            in_range = entries.min() >= 0 and entries.max() < self.d
+        except OverflowError:  # beyond int64, so out of range too
+            in_range = False
+        if not in_range:
             raise ValueError(f"table entries must lie in 0..{self.d - 1}")
 
     def encode(self, x: tuple[int, ...]) -> int:
@@ -141,13 +161,13 @@ def majority_identity_strategy(task: ClassicalTask) -> DeterministicStrategy:
     # Count, per position, how often that position's value occurs in its
     # string; the first position whose value attains the maximum count wins
     # the tie-break.
-    per_position = (inputs[:, :, None] == inputs[:, None, :]).sum(axis=2)
+    per_position = np.zeros(inputs.shape, dtype=np.int8)
+    for j in range(n):
+        per_position += inputs == inputs[:, [j]]
     first = (per_position == per_position.max(axis=1, keepdims=True)).argmax(axis=1)
     encoder = inputs[np.arange(task.input_count), first]
     identity = tuple(range(d))
-    return DeterministicStrategy(
-        n=n, d=d, encoder=tuple(int(m) for m in encoder), decoders=(identity,) * n
-    )
+    return DeterministicStrategy(n=n, d=d, encoder=tuple(encoder.tolist()), decoders=(identity,) * n)
 
 
 def closed_form_classical(n: int, d: int) -> float:
@@ -167,10 +187,12 @@ def optimal_classical_bruteforce(
 ) -> OracleResult:
     """Exact maximum average success over all deterministic strategies.
 
-    Only the C(d^n + d - 1, d) multisets of decoder columns are enumerated.
-    When that count exceeds ``max_tuples`` the search refuses to run unless
-    ``allow_large`` is set.  The reported witness carries the
-    lexicographically smallest optimal decoder tuple and its greedy encoder.
+    The search covers the C(d^n + d - 1, d) multisets of decoder columns and
+    scores only the canonical ones (see the module docstring); that count is
+    ``strategies_examined``.  When it exceeds ``max_tuples`` the search
+    refuses to run unless ``allow_large`` is set.  The reported witness
+    carries the lexicographically smallest optimal decoder tuple and its
+    greedy encoder.
     """
     check_int(max_tuples, "multiset budget max_tuples", 0)
     n, d = task.n, task.d
@@ -179,6 +201,7 @@ def optimal_classical_bruteforce(
     if required > max_tuples and not allow_large:
         raise InfeasibleSearchError(required, max_tuples)
     cols = all_inputs(n, d)
+    level = cols.max(axis=1)
 
     # agree[x, c]: questions answered right on input x by a message of column c;
     # inputs and columns are the same strings, so the table is symmetric.
@@ -186,22 +209,27 @@ def optimal_classical_bruteforce(
     for y in range(n):
         agree += cols[:, None, y] == cols[None, :, y]
     block = max(1, _BLOCK_CELLS // count**2)
+    penultimate = np.flatnonzero(level <= d - 2)
 
     best_count, best_key = -1, None
-    # A multiset is a nondecreasing column sequence: the first d - 2 columns
-    # come from the loop, the last two (i, j) from one block of rows i at a time.
-    # Entries with j < i repeat the multiset of entry (j, i), which lies in the
-    # same block and sorts no later, so they need no mask.
-    for prefix in itertools.combinations_with_replacement(range(count), d - 2):
+    # The first d - 2 columns of a canonical sequence come from the prefixes, the
+    # last two (i, j) from one block of rows i at a time: columns of level at most
+    # d - 2 from the prefix's last on, against every column j from the block's
+    # first row on.  Entries with j < i are real strategies too, so they can
+    # change neither the optimum nor the witness.
+    for prefix in _canonical_prefixes(level, d - 2):
         partial = agree[list(prefix)].max(axis=0, initial=0)
-        for top in range(prefix[-1] if prefix else 0, count, block):
-            rows = np.maximum(agree[top : top + block], partial)
-            counts = np.maximum(rows[:, None, :], agree[None, top:, :]).sum(axis=2, dtype=np.int64)
+        candidates = penultimate[penultimate >= (prefix[-1] if prefix else 0)]
+        for top in range(0, len(candidates), block):
+            index = candidates[top : top + block]
+            first = int(index[0])
+            rows = np.maximum(agree[index], partial)
+            counts = np.maximum(rows[:, None, :], agree[None, first:, :]).sum(axis=2, dtype=np.int64)
             top_count = int(counts.max())
             if top_count < best_count:
                 continue
             i, j = np.nonzero(counts == top_count)
-            sets = [(*prefix, top + a, top + b) for a, b in zip(i.tolist(), j.tolist())]
+            sets = [(*prefix, int(index[a]), first + b) for a, b in zip(i.tolist(), j.tolist())]
             if top_count > best_count:
                 best_count, best_key = top_count, None
             best_key = _smallest_decoder_tuple(cols, sets, best_key)
@@ -209,6 +237,21 @@ def optimal_classical_bruteforce(
     witness = _greedy_witness(task, np.reshape(best_key, (n, d)), best_count)
     optimum = best_count / (n * task.input_count)
     return OracleResult(optimum=optimum, witness=witness, strategies_examined=required)
+
+
+def _canonical_prefixes(level: np.ndarray, length: int):
+    """Nondecreasing column sequences c_0..c_{length-1} with level(c_m) <= m, in order."""
+    allowed = [np.flatnonzero(level <= m).tolist() for m in range(length)]
+
+    def extend(prefix: tuple):
+        if len(prefix) == length:
+            yield prefix
+            return
+        for c in allowed[len(prefix)]:
+            if not prefix or c >= prefix[-1]:
+                yield from extend((*prefix, c))
+
+    return extend(())
 
 
 def _smallest_decoder_tuple(cols: np.ndarray, sets: list, incumbent: tuple | None) -> tuple:

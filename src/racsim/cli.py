@@ -370,7 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--allow-large",
         action="store_true",
-        help="run sizes over the budget anyway",
+        help="run sizes over the budget anyway; only canonical multisets are scored, "
+        "so (2,7), (3,5) and (4,4) take under a second",
     )
     p.add_argument("--evaluate", metavar="PATH", help="evaluate a strategy table file instead")
     p.add_argument(

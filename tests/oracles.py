@@ -9,6 +9,7 @@ test.  Values frozen into the test modules were produced by these functions.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 from numpy.linalg import matrix_power
@@ -110,3 +111,27 @@ def classical_optimum_full_enumeration(n: int, d: int) -> float:
             decoders = [dict(enumerate(table)) for table in decoder_choice]
             best = max(best, classical_average(n, d, encoder, decoders))
     return best
+
+
+def classical_optimum_by_column_multisets(n: int, d: int) -> tuple[Fraction, tuple, tuple]:
+    """Optimum, smallest optimal decoder tuple and its greedy encoder.
+
+    Scores every multiset of d decoder columns (f_1(m), ..., f_n(m)), each input
+    taking its best column; columns drawn in lexicographic order read as the
+    multiset's smallest decoder tuple.  The encoder sends, per input, the
+    smallest message with the most right answers.  Small sizes only.
+    """
+    inputs = list(itertools.product(range(d), repeat=n))
+
+    def right(column, x):
+        return sum(column[y] == x[y] for y in range(n))
+
+    best_hits, best_decoders = -1, None
+    for columns in itertools.combinations_with_replacement(inputs, d):
+        hits = sum(max(right(c, x) for c in columns) for x in inputs)
+        decoders = tuple(tuple(c[y] for c in columns) for y in range(n))
+        if hits > best_hits or (hits == best_hits and decoders < best_decoders):
+            best_hits, best_decoders = hits, decoders
+    columns = list(zip(*best_decoders))
+    encoder = tuple(max(range(d), key=lambda m: right(columns[m], x)) for x in inputs)
+    return Fraction(best_hits, n * d**n), best_decoders, encoder

@@ -21,7 +21,7 @@ from racsim.classical import (
     strategy_to_text,
 )
 
-from oracles import classical_optimum_full_enumeration
+from oracles import classical_optimum_by_column_multisets, classical_optimum_full_enumeration
 
 RNG = np.random.default_rng(7)
 
@@ -66,6 +66,32 @@ class TestEvaluateStrategy:
             DeterministicStrategy(n=2, d=2, encoder=(0, 0, 2, 1), decoders=((0, 1), (0, 1)))
         with pytest.raises(ValueError):
             DeterministicStrategy(n=2, d=2, encoder=(0, 0, 1), decoders=((0, 1), (0, 1)))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            pytest.param({"encoder": (0, 0, 1.5, 1)}, id="float-entry"),
+            pytest.param({"encoder": (0, 0, 1.0, 1)}, id="integral-float-entry"),
+            pytest.param({"encoder": (0, 0, np.float64(1), 1)}, id="numpy-float-entry"),
+            pytest.param({"encoder": (0, 0, True, 1)}, id="bool-entry"),
+            pytest.param({"decoders": ((0, np.True_), (0, 1))}, id="numpy-bool-entry"),
+            pytest.param({"decoders": (("0", 1), (0, 1))}, id="str-entry"),
+            pytest.param({"encoder": (0, 0, 2**70, 1)}, id="huge-entry"),
+            pytest.param({"n": 2.0}, id="float-n"),
+            pytest.param({"n": True}, id="bool-n"),
+            pytest.param({"d": 2.0}, id="float-d"),
+        ],
+    )
+    def test_rejects_non_integers(self, change):
+        tables = dict(n=2, d=2, encoder=(0, 0, 1, 1), decoders=((0, 1), (0, 1)))
+        with pytest.raises(ValueError):
+            DeterministicStrategy(**{**tables, **change})
+
+    def test_accepts_numpy_integer_entries(self):
+        strategy = DeterministicStrategy(
+            n=2, d=2, encoder=tuple(np.array([0, 0, 1, 1])), decoders=((np.int8(0), 1), (0, 1))
+        )
+        assert evaluate_strategy(ClassicalTask(2, 2), strategy).average == 0.75
 
     def test_average_counts_by_hand(self):
         # d=2, n=2, send-x1: y=1 always right, y=2 right on the diagonal
@@ -230,6 +256,60 @@ class TestOracle:
         result = optimal_classical_bruteforce(task)
         assert result.optimum == evaluate_strategy(task, majority_identity_strategy(task)).average
         assert evaluate_strategy(task, result.witness).average == result.optimum
+
+    @pytest.mark.parametrize(
+        "n, d",
+        [(1, d) for d in range(2, 7)] + [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2)],
+    )
+    def test_matches_every_column_multiset(self, n, d):
+        # the oracle scores canonical column sequences only; the reference
+        # scores them all
+        optimum, decoders, encoder = classical_optimum_by_column_multisets(n, d)
+        result = optimal_classical_bruteforce(ClassicalTask(n, d))
+        assert result.optimum == float(optimum)
+        assert result.witness.decoders == decoders
+        assert result.witness.encoder == encoder
+
+    @pytest.mark.parametrize("n, d", [(2, 7), (3, 5), (4, 4), (5, 4)])
+    def test_majority_identity_is_optimal_beyond_the_budget(self, n, d):
+        task = ClassicalTask(n, d)
+        result = optimal_classical_bruteforce(task, max_tuples=0, allow_large=True)
+        assert result.optimum == evaluate_strategy(task, majority_identity_strategy(task)).average
+        assert evaluate_strategy(task, result.witness).average == result.optimum
+
+
+def orbit_minimum(decoders: tuple, d: int) -> tuple:
+    """Smallest decoder tuple over message permutations and per-position relabelings."""
+    n = len(decoders)
+    relabelings = list(itertools.permutations(range(d)))
+    best = None
+    for order in relabelings:
+        for values in itertools.product(relabelings, repeat=n):
+            key = tuple(tuple(values[y][decoders[y][m]] for m in order) for y in range(n))
+            if best is None or key < best:
+                best = key
+    return best
+
+
+class TestCanonicalColumns:
+    """The symmetry argument behind the oracle's canonical column sequences."""
+
+    @staticmethod
+    def assert_canonical(decoders: tuple):
+        columns = list(zip(*decoders))
+        assert columns == sorted(columns), decoders
+        assert all(v <= m for m, column in enumerate(columns) for v in column), decoders
+
+    def test_every_orbit_minimum_at_2_3(self):
+        tables = list(itertools.product(range(3), repeat=3))
+        for decoders in itertools.product(tables, repeat=2):
+            self.assert_canonical(orbit_minimum(decoders, 3))
+
+    def test_random_orbit_minima_at_3_3(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            decoders = tuple(tuple(rng.integers(0, 3, 3).tolist()) for _ in range(3))
+            self.assert_canonical(orbit_minimum(decoders, 3))
 
 
 class TestMixtures:
