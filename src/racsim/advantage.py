@@ -87,14 +87,14 @@ def r_max(d: int) -> int:
     return r
 
 
-def scan(d_min: int = 2, d_max: int = 50, *, verify: bool = True) -> list[AdvantageRow]:
+def scan(d_min: int = 2, d_max: int = 50) -> list[AdvantageRow]:
     """Staircase table for d in [d_min, d_max], one row per alphabet size.
 
     Each row reports the largest dimensional advantage, the classical and full
-    quantum closed forms, and the restricted value at that advantage.  With
-    ``verify`` (the default) the restricted value of every row with
-    d <= VERIFY_DMAX is recomputed by exhaustive Born-rule enumeration and
-    must agree with the closed form to 1e-12.
+    quantum closed forms, and the restricted value at that advantage.  The
+    restricted value of every row with d <= VERIFY_DMAX is recomputed by
+    exhaustive Born-rule enumeration and must agree with the closed form to
+    1e-12, else ``AssertionError`` is raised.
     """
     check_int(d_min, "d_min", 2)
     check_int(d_max, "d_max", d_min)
@@ -104,7 +104,7 @@ def scan(d_min: int = 2, d_max: int = 50, *, verify: bool = True) -> list[Advant
         p_classical = closed_form_classical(2, d)
         p_full = closed_form_full(d)
         p_restricted = closed_form_restricted(d, r)
-        if verify and d <= VERIFY_DMAX:
+        if d <= VERIFY_DMAX:
             enumerated = exact_success(ProtocolSpec(d=d, d_prime=d - r)).average
             if abs(enumerated - p_restricted) > _VERIFY_TOL:
                 raise AssertionError(

@@ -107,12 +107,6 @@ class DeterministicStrategy:
         if not in_range:
             raise ValueError(f"table entries must lie in 0..{self.d - 1}")
 
-    def encode(self, x: tuple[int, ...]) -> int:
-        return self.encoder[input_rank(x, self.d)]
-
-    def decode(self, y: int, message: int) -> int:
-        return self.decoders[y - 1][message]
-
 
 @dataclass(frozen=True, eq=False)
 class OracleResult:

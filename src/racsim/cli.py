@@ -13,9 +13,10 @@ carry no timestamps.  JSON reports include a provenance block recording the
 tool version, the parameters, and whether each value came from a closed form
 or an enumeration.
 
-Exit status: 0 on success, 1 on failed verification, 2 on invalid arguments
-or a request too large for the available memory, 3 when the oracle search
-size exceeds its budget.
+Exit status: 0 on success, 1 on failed verification (including an internal
+cross-check of enumeration against a closed form), 2 on invalid arguments or a
+request too large for the available memory, 3 when the oracle search size
+exceeds its budget.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ def cmd_simulate(args: argparse.Namespace) -> Report:
     return Report(
         "simulate",
         {**parameters, "trials": args.trials, "seed": args.seed},
-        sources={"mean": "sampled", "stderr": "binomial formula"},
+        sources={"mean": f"sampled, stream version {montecarlo.STREAM_VERSION}", "stderr": "binomial formula"},
         fields={"mean": estimate.mean, "stderr": estimate.stderr, "trials": estimate.trials},
         text_keys=("trials", "seed", "mean", "stderr"),
     )
@@ -405,6 +406,9 @@ def main(argv: list[str] | None = None) -> int:
     except classical.InfeasibleSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INFEASIBLE
+    except AssertionError as exc:  # an internal cross-check disagreed
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return _EXIT_VERIFY_FAILED
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return _EXIT_BAD_ARGS

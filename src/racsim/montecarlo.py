@@ -1,14 +1,16 @@
 """Seeded Monte Carlo execution of the random access game.
 
-Every protocol the package evaluates exactly can also be *played*: inputs are
-drawn uniformly, the encoded system is measured by sampling the exact Born
-distribution of the decoding basis, the guess rule is sampled, and the
-empirical success rate is tallied.  Estimates converge to the exact values
-and are bit-reproducible: the generator is numpy's default PCG64 seeded from
-``TrialConfig.seed``, and all variates are drawn as whole arrays in a fixed
-order.  Quantum protocols draw five arrays (first dits, second dits,
-questions, outcome uniforms, guess uniforms); classical strategies draw the
-input matrix and then the questions.
+Every protocol the package evaluates exactly can also be *played*: a uniformly
+random input string and a uniformly random question are drawn, the protocol
+announces an answer, and the trial succeeds when the answer is the asked dit.
+Estimates converge to the exact values and are bit-reproducible.  One
+generator, numpy's default PCG64 seeded from ``TrialConfig.seed``, plays the
+trials in chunks of at most ``_CHUNK``; each chunk draws its (size, n) input
+matrix, then its questions, then what the protocol's answer step needs.  A
+quantum protocol draws outcome uniforms and then guess uniforms; a classical
+strategy draws nothing more and looks its answer up in its tables.  That
+order, with the chunk size, is random stream ``STREAM_VERSION``.  Memory is
+set by the chunk, not by the trial count.
 
 Outcome sampling inverts the cumulative Born distribution of the trial's
 (input, question) cell, read from the rolled Born table that exact evaluation
@@ -18,6 +20,7 @@ uses; no state collapse is simulated.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +28,10 @@ import numpy as np
 from .classical import DeterministicStrategy
 from .quantum import ProtocolSpec, _born_table, _powers, guess_from_outcome
 from .report import check_int
+
+#: Version of the seeded variate stream; it changes whenever a seed would
+#: produce different trials.  Version 2 draws in chunks of ``_CHUNK`` trials.
+STREAM_VERSION = 2
 
 _CHUNK = 1 << 17
 
@@ -50,52 +57,44 @@ class Estimate:
     trials: int
 
 
-def _estimate(successes: int, trials: int) -> Estimate:
-    mean = successes / trials
-    return Estimate(mean=mean, stderr=math.sqrt(mean * (1.0 - mean) / trials), trials=trials)
+def _play(protocol, config: TrialConfig) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Inputs, questions and answers of each chunk of at most ``_CHUNK`` trials.
 
+    The protocol supplies only its answer step, which draws its own variates
+    after the chunk's inputs and questions.
+    """
+    if isinstance(protocol, ProtocolSpec):
+        n, d = 2, protocol.d
+        cdfs = np.cumsum(_born_table(protocol), axis=-1)  # [y-1, power, outcome]
+        # Guard against cumulative rounding pushing a uniform past the last level.
+        cdfs[..., -1] = 1.0
+        guess_set = np.array([a for a, _ in guess_from_outcome(0, protocol).support], dtype=np.int64)
+        fallback = len(guess_set)
 
-def _play_quantum(spec: ProtocolSpec, config: TrialConfig) -> tuple[np.ndarray, ...]:
-    """Trial columns (x1, x2, y, answer)."""
-    d = spec.d
+        def answer(rng, inputs, y):
+            u_outcome = rng.random(len(y))
+            u_guess = rng.random(len(y))
+            a, b = _powers(protocol, inputs[:, 0], inputs[:, 1])
+            outcome = (u_outcome[:, None] >= cdfs[y - 1, np.where(y == 1, a, b)]).sum(axis=1)
+            guess_idx = np.minimum((u_guess * fallback).astype(np.int64), fallback - 1)
+            return np.where(outcome == 0, guess_set[guess_idx], outcome)
+
+    elif isinstance(protocol, DeterministicStrategy):
+        n, d = protocol.n, protocol.d
+        powers = d ** np.arange(n - 1, -1, -1)
+        encoder, decoders = np.asarray(protocol.encoder), np.asarray(protocol.decoders)
+
+        def answer(rng, inputs, y):
+            return decoders[y - 1, encoder[inputs @ powers]]
+
+    else:
+        raise TypeError(f"cannot simulate {type(protocol).__name__}")
     rng = np.random.default_rng(config.seed)
-    trials = config.trials
-    x1 = rng.integers(0, d, trials)
-    x2 = rng.integers(0, d, trials)
-    y = rng.integers(1, 3, trials)
-    u_outcome = rng.random(trials)
-    u_guess = rng.random(trials)
-
-    cdfs = np.cumsum(_born_table(spec), axis=-1)  # [y-1, power, outcome]
-    # Guard against cumulative rounding pushing a uniform past the last level.
-    cdfs[..., -1] = 1.0
-    guess_set = np.array([a for a, _ in guess_from_outcome(0, spec).support], dtype=np.int64)
-    fallback = len(guess_set)
-    answers = np.empty(trials, dtype=np.int64)
-    for start in range(0, trials, _CHUNK):
-        chunk = slice(start, min(start + _CHUNK, trials))
-        a, b = _powers(spec, x1[chunk], x2[chunk])
-        rows = cdfs[y[chunk] - 1, np.where(y[chunk] == 1, a, b)]
-        outcome = (u_outcome[chunk, None] >= rows).sum(axis=1)
-        guess_idx = np.minimum((u_guess[chunk] * fallback).astype(np.int64), fallback - 1)
-        answers[chunk] = np.where(outcome == 0, guess_set[guess_idx], outcome)
-    return x1, x2, y, answers
-
-
-def _play_classical(strategy: DeterministicStrategy, config: TrialConfig) -> np.ndarray:
-    n, d = strategy.n, strategy.d
-    rng = np.random.default_rng(config.seed)
-    trials = config.trials
-    xs = rng.integers(0, d, (trials, n))
-    y = rng.integers(1, n + 1, trials)
-
-    powers = d ** np.arange(n - 1, -1, -1)
-    ranks = xs @ powers
-    encoder = np.asarray(strategy.encoder)
-    decoders = np.asarray(strategy.decoders)
-    answers = decoders[y - 1, encoder[ranks]]
-    targets = xs[np.arange(trials), y - 1]
-    return (answers == targets).astype(np.int64)
+    for start in range(0, config.trials, _CHUNK):
+        size = min(_CHUNK, config.trials - start)
+        inputs = rng.integers(0, d, (size, n))
+        y = rng.integers(1, n + 1, size)
+        yield inputs, y, answer(rng, inputs, y)
 
 
 def simulate(protocol: ProtocolSpec | DeterministicStrategy, config: TrialConfig) -> Estimate:
@@ -103,14 +102,11 @@ def simulate(protocol: ProtocolSpec | DeterministicStrategy, config: TrialConfig
 
     Identical (protocol, config) pairs reproduce identical estimates.
     """
-    if isinstance(protocol, ProtocolSpec):
-        x1, x2, y, answers = _play_quantum(protocol, config)
-        successes = int(np.count_nonzero(answers == np.where(y == 1, x1, x2)))
-    elif isinstance(protocol, DeterministicStrategy):
-        successes = int(_play_classical(protocol, config).sum())
-    else:
-        raise TypeError(f"cannot simulate {type(protocol).__name__}")
-    return _estimate(successes, config.trials)
+    successes = 0
+    for inputs, y, answers in _play(protocol, config):
+        successes += int(np.count_nonzero(answers == inputs[np.arange(len(y)), y - 1]))
+    mean = successes / config.trials
+    return Estimate(mean=mean, stderr=math.sqrt(mean * (1.0 - mean) / config.trials), trials=config.trials)
 
 
 def answer_counts(spec: ProtocolSpec, config: TrialConfig) -> np.ndarray:
@@ -119,8 +115,10 @@ def answer_counts(spec: ProtocolSpec, config: TrialConfig) -> np.ndarray:
     Uses the same variate stream as :func:`simulate`, so the histogram is the
     full record of an identically-seeded run.
     """
+    if not isinstance(spec, ProtocolSpec):
+        raise TypeError(f"answer counts need a ProtocolSpec, got {type(spec).__name__}")
     d = spec.d
-    x1, x2, y, answers = _play_quantum(spec, config)
     counts = np.zeros((d, d, 2, d), dtype=np.int64)
-    np.add.at(counts, (x1, x2, y - 1, answers), 1)
+    for inputs, y, answers in _play(spec, config):
+        np.add.at(counts, (inputs[:, 0], inputs[:, 1], y - 1, answers), 1)
     return counts

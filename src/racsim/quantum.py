@@ -127,11 +127,9 @@ def encode_restricted(spec: ProtocolSpec, x1: int, x2: int) -> np.ndarray:
 
 def decoding_basis(d_prime: int, y: int) -> np.ndarray:
     """Measurement basis for question y: computational for y=1, Fourier for y=2."""
-    if y == 1:
+    if check_int(y, "question index y", 1, 2) == 1:
         return qudit.computational_basis(d_prime)
-    if y == 2:
-        return qudit.fourier_basis(d_prime)
-    raise ValueError(f"question index must be 1 or 2, got {y}")
+    return qudit.fourier_basis(d_prime)
 
 
 def guess_from_outcome(outcome: int, spec: ProtocolSpec) -> GuessDistribution:

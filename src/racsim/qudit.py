@@ -64,6 +64,7 @@ def anchor_state(dim: int) -> np.ndarray:
 def clock_phases(dim: int, power: int) -> np.ndarray:
     """Diagonal of Clock^power: entry k is omega^(k*power)."""
     dim = check_int(dim, "dimension", 1)
+    power = check_int(power, "power")
     exponents = (np.arange(dim) * (power % dim)) % dim
     return np.exp(2j * np.pi * exponents / dim)
 
@@ -71,7 +72,7 @@ def clock_phases(dim: int, power: int) -> np.ndarray:
 def apply_shift(state: np.ndarray, power: int) -> np.ndarray:
     """Cyclically move the amplitude at index k to index (k + power) mod dim."""
     state = _check_state(state)
-    return np.roll(state, power % state.shape[0])
+    return np.roll(state, check_int(power, "power") % state.shape[0])
 
 
 def apply_clock(state: np.ndarray, power: int) -> np.ndarray:

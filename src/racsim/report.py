@@ -32,16 +32,16 @@ class SuccessReport:
         return cls(average=average, worst_case=worst, per_input=per_input)
 
 
-def check_int(value, name: str, low: int, high: int | None = None) -> int:
+def check_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
     """``value`` as a Python int, after checking it is an integer in low..high.
 
     Python and numpy integers are accepted; ``bool`` and every other type are
     rejected with ``ValueError``, as is a value outside the range (``high``
-    None leaves it open above).
+    None leaves it open above; with ``low`` None too, only the type is checked).
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low or (high is not None and value > high):
+    if (low is not None and value < low) or (high is not None and value > high):
         bounds = f"at least {low}" if high is None else f"in {low}..{high}"
         raise ValueError(f"{name} must be {bounds}, got {value}")
     return int(value)

@@ -14,6 +14,7 @@ from racsim.classical import (
     all_inputs,
     closed_form_classical,
     evaluate_strategy,
+    input_rank,
     majority_identity_strategy,
     mixture_value,
     optimal_classical_bruteforce,
@@ -103,15 +104,16 @@ class TestEvaluateStrategy:
 class TestMajorityIdentity:
     def test_unanimous_pair(self):
         strategy = majority_identity_strategy(ClassicalTask(2, 6))
-        assert strategy.encode((3, 3)) == 3
+        assert strategy.encoder[input_rank((3, 3), 6)] == 3
 
     def test_tie_takes_earliest_position(self):
         strategy = majority_identity_strategy(ClassicalTask(2, 6))
-        assert strategy.encode((1, 4)) == 1
+        assert strategy.encoder[input_rank((1, 4), 6)] == 1
+        assert strategy.encoder[input_rank((4, 1), 6)] == 4
 
     def test_three_dit_majority(self):
         strategy = majority_identity_strategy(ClassicalTask(3, 6))
-        assert strategy.encode((2, 5, 2)) == 2
+        assert strategy.encoder[input_rank((2, 5, 2), 6)] == 2
 
     def test_decoders_are_identity(self):
         strategy = majority_identity_strategy(ClassicalTask(3, 4))

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from racsim import quantum
+from racsim import advantage, quantum
 from racsim.classical import majority_identity_strategy, strategy_to_text
 from racsim.classical import ClassicalTask
 from racsim.cli import main
@@ -15,6 +15,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def off_by_1e9(d, r):
+    """A restricted closed form that disagrees with enumeration by 1e-9."""
+    return quantum.closed_form_restricted(d, r) + 1e-9
 
 
 class TestExact:
@@ -106,6 +111,14 @@ class TestScan:
         payload = json.loads(out)
         assert payload["provenance"]["command"] == "scan"
         assert payload["rows"][-1]["r_max"] == 1
+
+    def test_cross_check_failure_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(advantage, "closed_form_restricted", off_by_1e9)
+        code, out, err = run_cli(capsys, "scan", "--dmax", "6")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: enumeration ") and "disagrees with the closed form" in err
 
 
 class TestOracle:
@@ -219,3 +232,11 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert "FAIL  forced failure" in out
+
+    def test_cross_check_failure_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(advantage, "closed_form_restricted", off_by_1e9)
+        code, out, err = run_cli(capsys, "verify")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "disagrees with the closed form" in err

@@ -1,12 +1,13 @@
 """Seeded Monte Carlo: reproducibility, convergence, distribution-level checks."""
 
 import math
+import tracemalloc
 
 import pytest
 from scipy import stats
 
 from racsim.classical import ClassicalTask, majority_identity_strategy
-from racsim.montecarlo import TrialConfig, answer_counts, simulate
+from racsim.montecarlo import _CHUNK, TrialConfig, answer_counts, simulate
 from racsim.quantum import (
     GatingVariant,
     ProtocolSpec,
@@ -89,6 +90,16 @@ class TestEstimates:
         with pytest.raises(TypeError):
             simulate(object(), TrialConfig(trials=10, seed=0))
 
+    def test_memory_is_flat_in_trials(self):
+        """Trials are played in chunks, so 2e6 trials never hold 2e6-long arrays."""
+        tracemalloc.start()
+        try:
+            simulate(ProtocolSpec.full(6), TrialConfig(trials=2_000_000, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
 
 class TestConvergence:
     def test_million_trial_estimates_hit_exact_values(self):
@@ -126,17 +137,24 @@ class TestAnswerFrequencies:
         _, p_value = stats.chisquare(observed, expected)
         assert p_value > 1e-3
 
-    def test_counts_total_matches_trials(self):
+    @pytest.mark.parametrize("trials", [10_000, 2 * _CHUNK + 3])
+    def test_counts_total_matches_trials(self, trials):
         spec = ProtocolSpec(4, 3)
-        counts = answer_counts(spec, TrialConfig(trials=10_000, seed=8))
-        assert counts.sum() == 10_000
+        counts = answer_counts(spec, TrialConfig(trials=trials, seed=8))
+        assert counts.sum() == trials
 
-    def test_counts_agree_with_simulate_success(self):
+    @pytest.mark.parametrize("trials", [40_000, 2 * _CHUNK + 3])
+    def test_counts_agree_with_simulate_success(self, trials):
         spec = ProtocolSpec(5, 4)
-        config = TrialConfig(trials=40_000, seed=77)
+        config = TrialConfig(trials=trials, seed=77)
         counts = answer_counts(spec, config)
         hits = 0
         for x1 in range(5):
             for x2 in range(5):
                 hits += counts[x1, x2, 0, x1] + counts[x1, x2, 1, x2]
         assert hits / config.trials == simulate(spec, config).mean
+
+    def test_counts_reject_classical_strategies(self):
+        strategy = majority_identity_strategy(ClassicalTask(2, 4))
+        with pytest.raises(TypeError):
+            answer_counts(strategy, TrialConfig(trials=10, seed=0))

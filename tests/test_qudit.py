@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from racsim import qudit
+from racsim.quantum import decoding_basis
 
 RNG = np.random.default_rng(90125)
 
@@ -68,6 +69,24 @@ class TestApplyPauli:
     def test_clock_is_pauli_z_for_qubits(self):
         state = np.array([0, 1], dtype=complex)
         np.testing.assert_allclose(qudit.apply_clock(state, 1), [0, -1], atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: qudit.apply_clock(random_state(3), 0.5),
+            lambda: qudit.apply_clock(random_state(3), True),
+            lambda: qudit.apply_shift(random_state(3), 1.5),
+            lambda: qudit.apply_shift(random_state(3), True),
+            lambda: qudit.clock_phases(3, 2.0),
+            lambda: decoding_basis(3, True),
+            lambda: decoding_basis(3, 2.0),
+        ],
+        ids=["clock-half", "clock-bool", "shift-float", "shift-bool", "phases-float",
+             "basis-bool", "basis-float"],
+    )
+    def test_rejects_non_integers(self, call):
+        with pytest.raises(ValueError):
+            call()
 
     @pytest.mark.parametrize("dim", range(1, 17))
     def test_shift_has_period_dim(self, dim):
