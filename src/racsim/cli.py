@@ -220,7 +220,8 @@ def cmd_simulate(args: argparse.Namespace) -> Report:
     return Report(
         "simulate",
         {**parameters, "trials": args.trials, "seed": args.seed},
-        sources={"mean": f"sampled, stream version {montecarlo.STREAM_VERSION}", "stderr": "binomial formula"},
+        sources={"mean": f"sampled, stream version {montecarlo.STREAM_VERSION}",
+                 "stderr": "binomial formula"},
         fields={"mean": estimate.mean, "stderr": estimate.stderr, "trials": estimate.trials},
         text_keys=("trials", "seed", "mean", "stderr"),
     )

@@ -58,11 +58,7 @@ class Estimate:
 
 
 def _play(protocol, config: TrialConfig) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Inputs, questions and answers of each chunk of at most ``_CHUNK`` trials.
-
-    The protocol supplies only its answer step, which draws its own variates
-    after the chunk's inputs and questions.
-    """
+    """Inputs, questions and answers of each chunk of at most ``_CHUNK`` trials."""
     if isinstance(protocol, ProtocolSpec):
         n, d = 2, protocol.d
         cdfs = np.cumsum(_born_table(protocol), axis=-1)  # [y-1, power, outcome]
