@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,9 @@ DEFAULT_TUPLE_BUDGET = 10_000_000
 #: gathered by level; a block holds at least one row, so above 2048 columns it
 #: is up to count**2 cells.
 _BLOCK_CELLS = 1 << 22
+
+#: Table lines the text writer and parser format or split at once.
+_TEXT_ROWS = 1 << 12
 
 
 class InfeasibleSearchError(ValueError):
@@ -74,7 +78,8 @@ class DeterministicStrategy:
 
     ``encoder[k]`` is the message for the input string of lexicographic rank
     ``k`` (first dit most significant); ``decoders[y-1][m]`` is the answer to
-    question ``y`` on receiving message ``m``.
+    question ``y`` on receiving message ``m``.  The tables may be given as any
+    integer sequences or arrays; both fields hold tuples of Python ints.
     """
 
     n: int
@@ -83,29 +88,34 @@ class DeterministicStrategy:
     decoders: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        check_int(self.n, "string length n", 1)
-        check_int(self.d, "alphabet size d", 2)
-        if len(self.encoder) != self.d**self.n:
-            raise ValueError(
-                f"encoder table must have {self.d ** self.n} entries, got {len(self.encoder)}"
-            )
-        if len(self.decoders) != self.n or any(len(t) != self.d for t in self.decoders):
-            raise ValueError(f"need {self.n} decoder tables of {self.d} entries each")
+        n = check_int(self.n, "string length n", 1)
+        d = check_int(self.d, "alphabet size d", 2)
+        count = d**n
+        if len(self.encoder) != count:
+            raise ValueError(f"encoder table must have {count} entries, got {len(self.encoder)}")
+        if len(self.decoders) != n or any(len(t) != d for t in self.decoders):
+            raise ValueError(f"need {n} decoder tables of {d} entries each")
+        # An array's entries are checked as the Python scalars tolist() gives.
+        tables = [t.tolist() if isinstance(t, np.ndarray) else t for t in (self.encoder, *self.decoders)]
         # one pass over the entries' types in C, then a check per distinct type
-        for kind in set(map(type, itertools.chain(self.encoder, *self.decoders))):
+        kinds = set(map(type, itertools.chain(*tables)))
+        for kind in kinds:
             if kind is bool or not issubclass(kind, (int, np.integer)):
                 raise ValueError(f"table entries must be integers, got a {kind.__name__}")
         try:
-            entries = np.fromiter(
-                itertools.chain(self.encoder, *self.decoders),
-                dtype=np.int64,
-                count=len(self.encoder) + self.n * self.d,
-            )
-            in_range = entries.min() >= 0 and entries.max() < self.d
+            entries = np.fromiter(itertools.chain(*tables), dtype=np.int64, count=count + n * d)
+            in_range = entries.min() >= 0 and entries.max() < d
         except OverflowError:  # beyond int64, so out of range too
             in_range = False
         if not in_range:
-            raise ValueError(f"table entries must lie in 0..{self.d - 1}")
+            raise ValueError(f"table entries must lie in 0..{d - 1}")
+        entries.flags.writeable = False
+        encoder, decoders = entries[:count], entries[count:].reshape(n, d)
+        # Not a dataclass field: equality, hashing and asdict() see the tuples only.
+        object.__setattr__(self, "_arrays", (encoder, decoders))
+        if kinds != {int} or any(type(t) is not tuple for t in (self.encoder, self.decoders, *self.decoders)):
+            object.__setattr__(self, "encoder", tuple(encoder.tolist()))
+            object.__setattr__(self, "decoders", tuple(map(tuple, decoders.tolist())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,20 +127,9 @@ class OracleResult:
     strategies_examined: int
 
 
-def input_rank(x: tuple[int, ...], d: int) -> int:
-    """Lexicographic rank of a dit string, first position most significant."""
-    rank = 0
-    for value in x:
-        if not 0 <= value < d:
-            raise ValueError(f"dit values must lie in 0..{d - 1}, got {value}")
-        rank = rank * d + value
-    return rank
-
-
 def all_inputs(n: int, d: int) -> np.ndarray:
     """All d^n input strings as an array of rows in lexicographic order."""
-    grids = np.meshgrid(*([np.arange(d)] * n), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return np.indices((d,) * n).reshape(n, -1).T
 
 
 def evaluate_strategy(task: ClassicalTask, strategy: DeterministicStrategy) -> SuccessReport:
@@ -141,10 +140,8 @@ def evaluate_strategy(task: ClassicalTask, strategy: DeterministicStrategy) -> S
             f"task is (n={task.n}, d={task.d})"
         )
     n, d = task.n, task.d
-    inputs = all_inputs(n, d)
-    messages = np.asarray(strategy.encoder)
-    decoders = np.asarray(strategy.decoders)
-    per = decoders[:, messages].T == inputs
+    messages, decoders = strategy._arrays
+    per = decoders[:, messages].T == all_inputs(n, d)
     return SuccessReport.from_per_input(per.reshape((d,) * n + (n,)))
 
 
@@ -160,8 +157,7 @@ def majority_identity_strategy(task: ClassicalTask) -> DeterministicStrategy:
         per_position += inputs == inputs[:, [j]]
     first = (per_position == per_position.max(axis=1, keepdims=True)).argmax(axis=1)
     encoder = inputs[np.arange(task.input_count), first]
-    identity = tuple(range(d))
-    return DeterministicStrategy(n=n, d=d, encoder=tuple(encoder.tolist()), decoders=(identity,) * n)
+    return DeterministicStrategy(n=n, d=d, encoder=encoder, decoders=(tuple(range(d)),) * n)
 
 
 def closed_form_classical(n: int, d: int) -> float:
@@ -189,6 +185,8 @@ def optimal_classical_bruteforce(
     greedy encoder.
     """
     check_int(max_tuples, "multiset budget max_tuples", 0)
+    if not isinstance(allow_large, bool):
+        raise ValueError(f"allow_large must be a bool, got {allow_large!r}")
     n, d = task.n, task.d
     count = task.input_count
     required = math.comb(count + d - 1, d)
@@ -267,12 +265,7 @@ def _greedy_witness(
     total = int(score.max(axis=1).sum())
     if total != expected_count:
         raise AssertionError(f"greedy encoder scores {total}, search reported {expected_count}")
-    return DeterministicStrategy(
-        n=n,
-        d=d,
-        encoder=tuple(int(m) for m in encoder),
-        decoders=tuple(tuple(int(v) for v in table) for table in decoders),
-    )
+    return DeterministicStrategy(n=n, d=d, encoder=encoder, decoders=decoders)
 
 
 def mixture_value(
@@ -282,8 +275,9 @@ def mixture_value(
     if not strategies:
         raise ValueError("mixture needs at least one strategy")
     weights = [w for _, w in strategies]
-    if not all(math.isfinite(w) and w >= 0 for w in weights):
-        raise ValueError(f"weights must be finite and nonnegative, got {weights}")
+    for w in weights:
+        if isinstance(w, bool) or not isinstance(w, numbers.Real) or not (math.isfinite(w) and w >= 0):
+            raise ValueError(f"weights must be finite nonnegative real numbers, got {w!r}")
     if abs(sum(weights) - 1.0) > 1e-12:
         raise ValueError(f"weights must sum to 1, got {sum(weights)}")
     return sum(w * evaluate_strategy(task, s).average for s, w in strategies)
@@ -296,49 +290,66 @@ def strategy_to_text(strategy: DeterministicStrategy) -> str:
     message, in lexicographic input order; then n blocks of d lines map each
     message to the answer for questions y = 1..n.
     """
-    lines = [f"{strategy.n} {strategy.d}"]
-    for rank, x in enumerate(itertools.product(range(strategy.d), repeat=strategy.n)):
-        lines.append(" ".join(str(v) for v in x) + f" {strategy.encoder[rank]}")
-    for table in strategy.decoders:
-        for message, answer in enumerate(table):
-            lines.append(f"{message} {answer}")
-    return "\n".join(lines) + "\n"
+    n, d = strategy.n, strategy.d
+    words = np.array([str(v) for v in range(d)], dtype=object)
+    rows = np.column_stack((all_inputs(n, d), strategy._arrays[0]))
+    lines = [f"{n} {d}"]
+    # Joined a chunk of rows at a time, so no list holds every encoder line.
+    for top in range(0, len(rows), _TEXT_ROWS):
+        lines.append("\n".join(map(" ".join, words[rows[top : top + _TEXT_ROWS]].tolist())))
+    lines += (f"{m} {a}" for table in strategy.decoders for m, a in enumerate(table))
+    return "\n".join([*lines, ""])
 
 
 def strategy_from_text(text: str) -> DeterministicStrategy:
-    """Parse the exchange table format produced by :func:`strategy_to_text`."""
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    if not rows or len(rows[0]) != 2:
-        raise ValueError("strategy table must start with a header line 'n d'")
-    try:
-        n, d = (int(v) for v in rows[0])
-    except ValueError as exc:
-        raise ValueError(f"malformed header {' '.join(rows[0])!r}") from exc
-    task = ClassicalTask(n=n, d=d)
-    expected = 1 + task.input_count + n * d
-    if len(rows) != expected:
-        raise ValueError(f"strategy table for n={n}, d={d} needs {expected} lines, got {len(rows)}")
+    """Parse the exchange table format produced by :func:`strategy_to_text`.
 
-    encoder = [-1] * task.input_count
-    for row in rows[1 : 1 + task.input_count]:
-        if len(row) != n + 1:
-            raise ValueError(f"encoder line must hold {n} dits and a message: {' '.join(row)!r}")
-        values = [int(v) for v in row]
-        rank = input_rank(tuple(values[:n]), d)
-        if encoder[rank] != -1:
-            raise ValueError(f"duplicate encoder line for input {tuple(values[:n])}")
-        encoder[rank] = values[n]
-    decoders = []
-    cursor = 1 + task.input_count
-    for _ in range(n):
-        table = [-1] * d
-        for row in rows[cursor : cursor + d]:
-            if len(row) != 2:
-                raise ValueError(f"decoder line must hold a message and an answer: {' '.join(row)!r}")
-            message, answer = (int(v) for v in row)
-            if not 0 <= message < d or table[message] != -1:
-                raise ValueError(f"bad or duplicate decoder line for message {message}")
-            table[message] = answer
-        decoders.append(tuple(table))
-        cursor += d
-    return DeterministicStrategy(n=n, d=d, encoder=tuple(encoder), decoders=tuple(decoders))
+    Lines may come in any order within a block, but each input string and
+    each message of a block must appear exactly once.
+    """
+    lines = [line for line in text.splitlines() if line.strip()]
+    header = lines[0].split() if lines else []
+    if len(header) != 2:
+        raise ValueError("strategy table must start with a header line 'n d'")
+    n, d = (int(v) for v in header)
+    ClassicalTask(n=n, d=d)  # rejects n < 1 and d < 2
+    # Once n and d are below the line count, d^n is small enough to compute.
+    if max(n, d) >= len(lines) or 1 + d**n + n * d != len(lines):
+        raise ValueError(f"strategy table for n={n}, d={d} needs 1 + d^n + n*d lines, got {len(lines)}")
+
+    encoder = _keyed_values(lines[1 : -n * d], n, d, "encoder")
+    decoders = [
+        _keyed_values(lines[start : start + d], 1, d, f"question {y} decoder")
+        for y, start in enumerate(range(len(lines) - n * d, len(lines), d), start=1)
+    ]
+    return DeterministicStrategy(n=n, d=d, encoder=encoder, decoders=decoders)
+
+
+def _keyed_values(lines: list[str], k: int, d: int, what: str) -> np.ndarray:
+    """Values of the lines ``key_1 ... key_k value``, in lexicographic key order.
+
+    Every key of k dits must appear on exactly one line.  Lines are split a
+    chunk at a time, so no list holds every line's tokens.
+    """
+    rows = np.empty((len(lines), k + 1), dtype=np.int64)
+    for top in range(0, len(lines), _TEXT_ROWS):
+        chunk = [line.split() for line in lines[top : top + _TEXT_ROWS]]
+        if set(map(len, chunk)) != {k + 1}:
+            bad = next(row for row in chunk if len(row) != k + 1)
+            raise ValueError(f"{what} lines must hold {k + 1} integers, got {' '.join(bad)!r}")
+        try:
+            rows[top : top + len(chunk)] = np.array(chunk, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError(f"table entries must lie in the int64 range: {exc}") from exc
+    keys = rows[:, :k]
+    if keys.min() < 0 or keys.max() >= d:
+        raise ValueError(f"{what} keys must lie in 0..{d - 1}")
+    ranks = keys @ d ** np.arange(k - 1, -1, -1)
+    hits = np.bincount(ranks, minlength=len(lines))
+    if (hits != 1).any():
+        rank = int(np.argmax(hits != 1))
+        key = " ".join(map(str, np.unravel_index(rank, (d,) * k)))
+        raise ValueError(f"each {what} key must appear on one line; {key} appears on {hits[rank]}")
+    values = np.empty(len(lines), dtype=np.int64)
+    values[ranks] = rows[:, k]
+    return values

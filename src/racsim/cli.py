@@ -234,48 +234,39 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
     tol = 1e-12
     checks: list[tuple[str, bool, str]] = []
 
-    worst = 0.0
-    for d in range(2, 33):
-        err = abs(
-            quantum.exact_success(quantum.ProtocolSpec.full(d)).average
-            - quantum.closed_form_full(d)
-        )
-        worst = max(worst, err)
+    def error(spec: quantum.ProtocolSpec, closed_form: float) -> float:
+        return abs(quantum.exact_success(spec).average - closed_form)
+
+    worst = max(error(quantum.ProtocolSpec.full(d), quantum.closed_form_full(d)) for d in range(2, 33))
     checks.append(("full protocol vs closed form, d=2..32", worst <= tol, f"max err {worst:.2e}"))
 
-    worst = 0.0
-    for d in range(2, 33):
-        for r in range(1, d - 1):
-            err = abs(
-                quantum.exact_success(quantum.ProtocolSpec(d, d - r)).average
-                - quantum.closed_form_restricted(d, r)
-            )
-            worst = max(worst, err)
+    worst = max(
+        error(quantum.ProtocolSpec(d, d - r), quantum.closed_form_restricted(d, r))
+        for d in range(2, 33)
+        for r in range(1, d - 1)
+    )
     checks.append(
         ("restricted protocol vs closed form, d=2..32, 1<=r<d-1", worst <= tol, f"max err {worst:.2e}")
     )
 
-    worst = 0.0
-    for n in (2, 3):
-        for d in range(2, 65):
-            task = classical.ClassicalTask(n, d)
-            got = classical.evaluate_strategy(task, classical.majority_identity_strategy(task))
-            worst = max(worst, abs(got.average - classical.closed_form_classical(n, d)))
+    tasks = [classical.ClassicalTask(n, d) for n in (2, 3) for d in range(2, 65)]
+    worst = max(
+        abs(classical.evaluate_strategy(t, classical.majority_identity_strategy(t)).average
+            - classical.closed_form_classical(t.n, t.d))
+        for t in tasks
+    )
     checks.append(
         ("majority-identity vs classical closed forms, n=2,3, d=2..64", worst <= tol, f"max err {worst:.2e}")
     )
 
-    ok = True
     detail = []
     for n, d in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]:
         res = classical.optimal_classical_bruteforce(classical.ClassicalTask(n, d))
         target = classical.closed_form_classical(n, d)
         if abs(res.optimum - target) > tol:
-            ok = False
             detail.append(f"({n},{d}) {res.optimum}!={target}")
-    checks.append(
-        ("oracle optimum vs classical closed forms", ok, "; ".join(detail) or "all sizes agree")
-    )
+    checks.append(("oracle optimum vs classical closed forms", not detail,
+                   "; ".join(detail) or "all sizes agree"))
 
     expected_bands = {**{d: 0 for d in range(2, 6)}, **{d: 1 for d in range(6, 12)},
                       **{d: 2 for d in range(12, 20)}, **{d: 3 for d in range(20, 30)},
@@ -284,11 +275,8 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
     bad = [row.d for row in rows if expected_bands[row.d] != row.r_max]
     checks.append(("staircase bands, d=2..50", not bad, f"mismatches at {bad}" if bad else "bands match"))
 
-    ties_ok = True
-    for d, r in [(5, 1), (11, 2)]:
-        exact = advantage.restricted_exact_value(d, r)
-        if exact != Fraction(d + 1, 2 * d):
-            ties_ok = False
+    ties = [(5, 1), (11, 2)]
+    ties_ok = all(advantage.restricted_exact_value(d, r) == Fraction(d + 1, 2 * d) for d, r in ties)
     checks.append(("boundary ties are exact rational equalities", ties_ok, "(5,1) and (11,2)"))
 
     arg = advantage.ratio_argmax(2, 1000)
@@ -311,9 +299,7 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
 
 def cmd_verify(args: argparse.Namespace) -> Report:
     checks = _verify_checks()
-    lines = []
-    for name, ok, detail in checks:
-        lines.append(f"{'PASS' if ok else 'FAIL'}  {name}  [{detail}]")
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name}  [{detail}]" for name, ok, detail in checks]
     failed = sum(1 for _, ok, _ in checks if not ok)
     lines.append(f"{len(checks) - failed}/{len(checks)} checks passed")
     return Report("verify", {}, table=lambda: lines, status=_EXIT_VERIFY_FAILED if failed else 0)

@@ -78,7 +78,7 @@ def _play(protocol, config: TrialConfig) -> Iterator[tuple[np.ndarray, np.ndarra
     elif isinstance(protocol, DeterministicStrategy):
         n, d = protocol.n, protocol.d
         powers = d ** np.arange(n - 1, -1, -1)
-        encoder, decoders = np.asarray(protocol.encoder), np.asarray(protocol.decoders)
+        encoder, decoders = protocol._arrays
 
         def answer(rng, inputs, y):
             return decoders[y - 1, encoder[inputs @ powers]]
@@ -113,8 +113,11 @@ def answer_counts(spec: ProtocolSpec, config: TrialConfig) -> np.ndarray:
     """
     if not isinstance(spec, ProtocolSpec):
         raise TypeError(f"answer counts need a ProtocolSpec, got {type(spec).__name__}")
-    d = spec.d
-    counts = np.zeros((d, d, 2, d), dtype=np.int64)
+    shape = (spec.d, spec.d, 2, spec.d)
+    counts = np.zeros(math.prod(shape), dtype=np.int64)
     for inputs, y, answers in _play(spec, config):
-        np.add.at(counts, (inputs[:, 0], inputs[:, 1], y - 1, answers), 1)
-    return counts
+        # One expression: a named cell index would stay alive while the next chunk is drawn.
+        counts += np.bincount(
+            np.ravel_multi_index((inputs[:, 0], inputs[:, 1], y - 1, answers), shape), minlength=counts.size
+        )
+    return counts.reshape(shape)

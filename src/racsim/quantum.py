@@ -83,8 +83,7 @@ class GuessDistribution:
     def __post_init__(self) -> None:
         total = 0.0
         for answer, prob in self.support:
-            if answer < 0:
-                raise ValueError(f"answers must be nonnegative dit values, got {answer}")
+            check_int(answer, "guess answer", 0)
             if prob < 0.0:
                 raise ValueError(f"probabilities must be nonnegative, got {prob}")
             total += prob

@@ -1,7 +1,9 @@
 """Classical strategies: evaluation, majority encoding, oracle, mixtures."""
 
 import itertools
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from racsim.classical import (
     all_inputs,
     closed_form_classical,
     evaluate_strategy,
-    input_rank,
     majority_identity_strategy,
     mixture_value,
     optimal_classical_bruteforce,
@@ -94,6 +95,24 @@ class TestEvaluateStrategy:
         )
         assert evaluate_strategy(ClassicalTask(2, 2), strategy).average == 0.75
 
+    @pytest.mark.parametrize(
+        "encoder, decoders",
+        [
+            pytest.param(np.array([0, 0, 1, 1]), np.array([[0, 1], [0, 1]]), id="arrays"),
+            pytest.param(np.array([0, 0, 1, 1], dtype=np.uint8), [[0, 1], [0, 1]], id="uint8-array-lists"),
+            pytest.param(tuple(np.arange(4) // 2), ((np.int8(0), 1), (0, np.int64(1))), id="numpy-ints"),
+            pytest.param([0, 0, 1, 1], [(0, 1), [0, 1]], id="lists"),
+        ],
+    )
+    def test_tables_are_stored_as_python_int_tuples(self, encoder, decoders):
+        strategy = DeterministicStrategy(n=2, d=2, encoder=encoder, decoders=decoders)
+        assert strategy == send_first_bit()
+        assert hash(strategy) == hash(send_first_bit())
+        assert {type(v) for v in itertools.chain(strategy.encoder, *strategy.decoders)} == {int}
+        assert json.loads(json.dumps(asdict(strategy))) == {
+            "n": 2, "d": 2, "encoder": [0, 0, 1, 1], "decoders": [[0, 1], [0, 1]]
+        }
+
     def test_average_counts_by_hand(self):
         # d=2, n=2, send-x1: y=1 always right, y=2 right on the diagonal
         per = evaluate_strategy(ClassicalTask(2, 2), send_first_bit()).per_input
@@ -104,16 +123,16 @@ class TestEvaluateStrategy:
 class TestMajorityIdentity:
     def test_unanimous_pair(self):
         strategy = majority_identity_strategy(ClassicalTask(2, 6))
-        assert strategy.encoder[input_rank((3, 3), 6)] == 3
+        assert strategy.encoder[np.ravel_multi_index((3, 3), (6, 6))] == 3
 
     def test_tie_takes_earliest_position(self):
         strategy = majority_identity_strategy(ClassicalTask(2, 6))
-        assert strategy.encoder[input_rank((1, 4), 6)] == 1
-        assert strategy.encoder[input_rank((4, 1), 6)] == 4
+        assert strategy.encoder[np.ravel_multi_index((1, 4), (6, 6))] == 1
+        assert strategy.encoder[np.ravel_multi_index((4, 1), (6, 6))] == 4
 
     def test_three_dit_majority(self):
         strategy = majority_identity_strategy(ClassicalTask(3, 6))
-        assert strategy.encoder[input_rank((2, 5, 2), 6)] == 2
+        assert strategy.encoder[np.ravel_multi_index((2, 5, 2), (6, 6, 6))] == 2
 
     def test_decoders_are_identity(self):
         strategy = majority_identity_strategy(ClassicalTask(3, 4))
@@ -222,6 +241,11 @@ class TestOracle:
         assert _smallest_decoder_tuple(cols, [(0, 2), (1, 1)], None) == (0, 0, 1, 1)
         assert _smallest_decoder_tuple(cols, [(0, 2)], (0, 0, 1, 1)) == (0, 0, 1, 1)
         assert _smallest_decoder_tuple(cols, [(1, 1)], (0, 1, 0, 0)) == (0, 0, 1, 1)
+
+    @pytest.mark.parametrize("allow_large", ["no", 1, None])
+    def test_rejects_non_bool_allow_large(self, allow_large):
+        with pytest.raises(ValueError, match="allow_large must be a bool"):
+            optimal_classical_bruteforce(ClassicalTask(2, 3), max_tuples=0, allow_large=allow_large)
 
     def test_symmetry_reduced_search_matches_plain(self):
         for n, d in [(2, 2), (2, 3), (3, 2)]:
@@ -353,6 +377,10 @@ class TestMixtures:
             mixture_value(task, [(send_first_bit(), -1.0), (send_first_bit(), 2.0)])
         with pytest.raises(ValueError):
             mixture_value(task, [(send_first_bit(), 1.0), (send_first_bit(), float("nan"))])
+        with pytest.raises(ValueError):
+            mixture_value(task, [(send_first_bit(), True)])
+        with pytest.raises(ValueError):
+            mixture_value(task, [(send_first_bit(), "1")])
 
 
 class TestStrategyBounds:
@@ -367,6 +395,13 @@ class TestStrategyBounds:
                 )
             for report in reports:
                 assert 1 / d - 1e-12 <= report.worst_case <= report.average <= 1.0
+
+
+def edited_table(index: int, line: str) -> str:
+    """The send-first-bit table text with line ``index`` replaced."""
+    lines = ["2 2", "0 0 0", "0 1 0", "1 0 1", "1 1 1", "0 0", "1 1", "0 0", "1 1"]
+    lines[index] = line
+    return "\n".join(lines) + "\n"
 
 
 class TestStrategyTextFormat:
@@ -398,6 +433,71 @@ class TestStrategyTextFormat:
         text = strategy_to_text(send_first_bit())
         with pytest.raises(ValueError):
             strategy_from_text(text.rsplit("\n", 3)[0])
+
+    def test_round_trip_with_two_digit_values(self):
+        strategy = DeterministicStrategy(
+            n=2, d=12, encoder=tuple(range(12)) * 12, decoders=(tuple(range(11, -1, -1)),) * 2
+        )
+        text = strategy_to_text(strategy)
+        lines = text.splitlines()
+        assert lines[1 + 10 * 12 + 11] == "10 11 11"
+        assert lines[1 + 144] == "0 11"
+        assert strategy_from_text(text) == strategy
+
+    @pytest.mark.parametrize(
+        "index, line",
+        [
+            pytest.param(1, "0  0\t+0", id="spacing-and-plus"),
+            pytest.param(3, "01 00 001", id="leading-zeros"),
+            pytest.param(5, "-0 0", id="minus-zero"),
+        ],
+    )
+    def test_accepts_equivalent_tokens(self, index, line):
+        assert strategy_from_text(edited_table(index, line)) == send_first_bit()
+
+    def test_accepts_reordered_decoder_lines_and_blank_lines(self):
+        lines = strategy_to_text(send_first_bit()).splitlines()
+        text = "\n\n".join(lines[:5] + [lines[6], lines[5], "   ", lines[8], lines[7]])
+        assert strategy_from_text(text) == send_first_bit()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("", id="empty"),
+            pytest.param(edited_table(0, "2"), id="short-header"),
+            pytest.param(edited_table(0, "2 x"), id="non-integer-header"),
+            pytest.param(edited_table(0, "2 1"), id="header-d-below-two"),
+            pytest.param("99999999999999999999 2\n0 0\n", id="huge-header-n"),
+            pytest.param("2 99999999999999999999\n0 0\n", id="huge-header-d"),
+            pytest.param(edited_table(8, ""), id="missing-line"),
+            pytest.param(edited_table(8, "1 1\n1 1"), id="extra-line"),
+            pytest.param(edited_table(1, "0 0"), id="short-encoder-line"),
+            pytest.param(edited_table(1, "0 0 0 0"), id="long-encoder-line"),
+            pytest.param(edited_table(5, "0"), id="short-decoder-line"),
+            pytest.param(edited_table(5, "0 0 0"), id="long-decoder-line"),
+            pytest.param(edited_table(1, "0 0 a"), id="non-integer-message"),
+            pytest.param(edited_table(1, "0 0 1.0"), id="decimal-point-message"),
+            pytest.param(edited_table(6, "1 x"), id="non-integer-answer"),
+            pytest.param(edited_table(1, "0 0 99999999999999999999"), id="message-beyond-int64"),
+            pytest.param(edited_table(1, "-99999999999999999999 0 0"), id="dit-beyond-int64"),
+            pytest.param(edited_table(6, "1 9223372036854775808"), id="answer-beyond-int64"),
+            pytest.param(edited_table(1, "2 0 0"), id="dit-too-large"),
+            pytest.param(edited_table(1, "0 -1 0"), id="negative-dit"),
+            pytest.param(edited_table(2, "0 0 0"), id="duplicate-input"),
+            pytest.param(edited_table(4, "0 1 1"), id="duplicate-input-not-adjacent"),
+            pytest.param(edited_table(6, "0 1"), id="duplicate-message"),
+            pytest.param(edited_table(8, "0 1"), id="duplicate-message-second-block"),
+            pytest.param(edited_table(6, "2 1"), id="message-too-large"),
+            pytest.param(edited_table(5, "-1 0"), id="negative-message"),
+            pytest.param(edited_table(1, "0 0 2"), id="encoder-message-too-large"),
+            pytest.param(edited_table(1, "0 0 -1"), id="negative-encoder-message"),
+            pytest.param(edited_table(6, "1 2"), id="answer-too-large"),
+            pytest.param(edited_table(7, "0 -1"), id="negative-answer"),
+        ],
+    )
+    def test_rejects_malformed_table(self, text):
+        with pytest.raises(ValueError):
+            strategy_from_text(text)
 
     def test_rejects_duplicate_input_line(self):
         text = strategy_to_text(send_first_bit())

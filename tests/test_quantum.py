@@ -8,6 +8,7 @@ import pytest
 from racsim import qudit
 from racsim.quantum import (
     GatingVariant,
+    GuessDistribution,
     ProtocolSpec,
     answer_distribution,
     closed_form_full,
@@ -174,6 +175,21 @@ class TestGuessFromOutcome:
     def test_rejects_outcome_beyond_quantum_dimension(self):
         with pytest.raises(ValueError):
             guess_from_outcome(5, ProtocolSpec(6, 5))
+
+    @pytest.mark.parametrize(
+        "answer",
+        [
+            pytest.param(0.5, id="float"),
+            pytest.param(1.0, id="integral-float"),
+            pytest.param(np.float64(1), id="numpy-float"),
+            pytest.param(True, id="bool"),
+            pytest.param("1", id="str"),
+            pytest.param(-1, id="negative"),
+        ],
+    )
+    def test_guess_distribution_rejects_non_dit_answers(self, answer):
+        with pytest.raises(ValueError):
+            GuessDistribution(((answer, 1.0),))
 
     def test_guess_matrix_rows_are_distributions(self):
         gmat = guess_matrix(ProtocolSpec(9, 6))
