@@ -50,8 +50,10 @@ class InfeasibleSearchError(ValueError):
     def __init__(self, required: int, budget: int):
         self.required = required
         self.budget = budget
+        # Python refuses to write an int of over 4,300 digits in decimal.
+        size = str(required) if math.log10(required) < 4000 else f"about 10^{math.log10(required):.0f}"
         super().__init__(
-            f"exhaustive search needs {required} column multisets, above the budget "
+            f"exhaustive search needs {size} column multisets, above the budget "
             f"of {budget}; pass allow_large=True to run it anyway"
         )
 
@@ -128,8 +130,22 @@ class OracleResult:
 
 
 def all_inputs(n: int, d: int) -> np.ndarray:
-    """All d^n input strings as an array of rows in lexicographic order."""
-    return np.indices((d,) * n).reshape(n, -1).T
+    """All d^n input strings as the columns of an unsigned (n, d^n) table, in lexicographic order."""
+    return np.indices((d,) * n, dtype=np.min_scalar_type(d - 1)).reshape(n, -1)
+
+
+def _hits(x: np.ndarray, messages: np.ndarray, decoders: np.ndarray) -> np.ndarray:
+    """Which questions the tables answer right on each input string, as an (n, d^n) table like ``x``."""
+    return decoders.take(messages, axis=1) == x
+
+
+def _majority_messages(x: np.ndarray) -> np.ndarray:
+    """Most frequent dit of each input string, ties going to the earliest position."""
+    best, top = x[0], (x == x[0]).sum(axis=0, dtype=np.int8)
+    for row in x[1:]:
+        count = (x == row).sum(axis=0, dtype=np.int8)
+        best, top = np.where(count > top, row, best), np.maximum(top, count)
+    return best
 
 
 def evaluate_strategy(task: ClassicalTask, strategy: DeterministicStrategy) -> SuccessReport:
@@ -140,23 +156,14 @@ def evaluate_strategy(task: ClassicalTask, strategy: DeterministicStrategy) -> S
             f"task is (n={task.n}, d={task.d})"
         )
     n, d = task.n, task.d
-    messages, decoders = strategy._arrays
-    per = decoders[:, messages].T == all_inputs(n, d)
-    return SuccessReport.from_per_input(per.reshape((d,) * n + (n,)))
+    per = _hits(all_inputs(n, d), *strategy._arrays)
+    return SuccessReport.from_per_input(per.T.reshape((d,) * n + (n,)))
 
 
 def majority_identity_strategy(task: ClassicalTask) -> DeterministicStrategy:
     """Send the most frequent dit (ties broken by earliest position), decode verbatim."""
     n, d = task.n, task.d
-    inputs = all_inputs(n, d)
-    # Count, per position, how often that position's value occurs in its
-    # string; the first position whose value attains the maximum count wins
-    # the tie-break.
-    per_position = np.zeros(inputs.shape, dtype=np.int8)
-    for j in range(n):
-        per_position += inputs == inputs[:, [j]]
-    first = (per_position == per_position.max(axis=1, keepdims=True)).argmax(axis=1)
-    encoder = inputs[np.arange(task.input_count), first]
+    encoder = _majority_messages(all_inputs(n, d))
     return DeterministicStrategy(n=n, d=d, encoder=encoder, decoders=(tuple(range(d)),) * n)
 
 
@@ -193,13 +200,13 @@ def optimal_classical_bruteforce(
     if required > max_tuples and not allow_large:
         raise InfeasibleSearchError(required, max_tuples)
     cols = all_inputs(n, d)
-    level = cols.max(axis=1)
+    level = cols.max(axis=0)
 
     # agree[x, c]: questions answered right on input x by a message of column c;
     # inputs and columns are the same strings, so the table is symmetric.
     agree = np.zeros((count, count), dtype=np.int8)
-    for y in range(n):
-        agree += cols[:, None, y] == cols[None, :, y]
+    for row in cols:
+        agree += row[:, None] == row[None, :]
     block = max(1, _BLOCK_CELLS // count**2)
     penultimate = np.flatnonzero(level <= d - 2)
 
@@ -249,7 +256,7 @@ def _canonical_prefixes(level: np.ndarray, length: int):
 def _smallest_decoder_tuple(cols: np.ndarray, sets: list, incumbent: tuple | None) -> tuple:
     """Smallest decoder tuple of ``incumbent`` and of the column multisets ``sets``."""
     # Columns in rank order give a multiset's smallest decoder tuple.
-    keys = cols[sets].transpose(0, 2, 1).reshape(len(sets), -1)
+    keys = cols[:, sets].transpose(1, 0, 2).reshape(len(sets), -1)
     key = tuple(keys[np.lexsort(keys.T[::-1])[0]].tolist())
     return key if incumbent is None or key < incumbent else incumbent
 
@@ -259,8 +266,7 @@ def _greedy_witness(
 ) -> DeterministicStrategy:
     """Strategy with the given decoder rows and the per-input greedy encoder."""
     n, d = task.n, task.d
-    inputs = all_inputs(n, d)
-    score = (decoders[None, :, :] == inputs[:, :, None]).sum(axis=1)
+    score = (decoders[:, None, :] == all_inputs(n, d)[:, :, None]).sum(axis=0)
     encoder = score.argmax(axis=1)  # ties resolved toward the smallest message
     total = int(score.max(axis=1).sum())
     if total != expected_count:
@@ -292,11 +298,11 @@ def strategy_to_text(strategy: DeterministicStrategy) -> str:
     """
     n, d = strategy.n, strategy.d
     words = np.array([str(v) for v in range(d)], dtype=object)
-    rows = np.column_stack((all_inputs(n, d), strategy._arrays[0]))
+    columns = np.vstack((all_inputs(n, d), strategy._arrays[0]))  # each: an input string, its message
     lines = [f"{n} {d}"]
-    # Joined a chunk of rows at a time, so no list holds every encoder line.
-    for top in range(0, len(rows), _TEXT_ROWS):
-        lines.append("\n".join(map(" ".join, words[rows[top : top + _TEXT_ROWS]].tolist())))
+    # Joined a chunk of columns at a time, so no list holds every encoder line.
+    for top in range(0, columns.shape[1], _TEXT_ROWS):
+        lines.append("\n".join(map(" ".join, words[columns[:, top : top + _TEXT_ROWS].T].tolist())))
     lines += (f"{m} {a}" for table in strategy.decoders for m, a in enumerate(table))
     return "\n".join([*lines, ""])
 
@@ -307,6 +313,10 @@ def strategy_from_text(text: str) -> DeterministicStrategy:
     Lines may come in any order within a block, but each input string and
     each message of a block must appear exactly once.
     """
+    # int() would also read '1_0' and non-ASCII digits, such as Arabic-Indic ones.
+    if not text.isascii() or "_" in text:
+        bad = next(c for c in text if c == "_" or not c.isascii())
+        raise ValueError(f"strategy table tokens must be ASCII decimal integers, got {bad!r}")
     lines = [line for line in text.splitlines() if line.strip()]
     header = lines[0].split() if lines else []
     if len(header) != 2:

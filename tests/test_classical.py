@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -12,6 +13,7 @@ from racsim.classical import (
     ClassicalTask,
     DeterministicStrategy,
     InfeasibleSearchError,
+    _majority_messages,
     _smallest_decoder_tuple,
     all_inputs,
     closed_form_classical,
@@ -120,7 +122,23 @@ class TestEvaluateStrategy:
         np.testing.assert_allclose(per[..., 1], np.eye(2))
 
 
+def test_all_inputs_is_position_major():
+    # row y holds dit y of every string, strings in lexicographic order
+    x = all_inputs(2, 3)
+    assert x.shape == (2, 9)
+    assert x.tolist() == [[0, 0, 0, 1, 1, 1, 2, 2, 2], [0, 1, 2, 0, 1, 2, 0, 1, 2]]
+
+
 class TestMajorityIdentity:
+    @pytest.mark.parametrize("n, d", [(2, 6), (3, 5), (4, 4), (5, 3)])
+    def test_majority_messages_match_a_counter_reference(self, n, d):
+        want = []
+        for x in itertools.product(range(d), repeat=n):
+            counts = Counter(x)
+            top = max(counts.values())
+            want.append(next(v for v in x if counts[v] == top))  # earliest position wins a tie
+        assert _majority_messages(all_inputs(n, d)).tolist() == want
+
     def test_unanimous_pair(self):
         strategy = majority_identity_strategy(ClassicalTask(2, 6))
         assert strategy.encoder[np.ravel_multi_index((3, 3), (6, 6))] == 3
@@ -226,6 +244,12 @@ class TestOracle:
             optimal_classical_bruteforce(ClassicalTask(2, 7))
         assert exc.value.required == math.comb(55, 7)
         assert str(exc.value.required) in str(exc.value)
+
+    def test_budget_error_past_the_digit_limit_keeps_the_exact_count(self):
+        with pytest.raises(InfeasibleSearchError) as exc:
+            optimal_classical_bruteforce(ClassicalTask(20000, 2))
+        assert exc.value.required == math.comb(2**20000 + 1, 2)
+        assert "column multisets, above the budget" in str(exc.value)
 
     def test_budget_is_checked_before_any_table_is_built(self):
         # (40, 2) has 2^40 columns; refusing it must not allocate them first
@@ -498,6 +522,12 @@ class TestStrategyTextFormat:
     def test_rejects_malformed_table(self, text):
         with pytest.raises(ValueError):
             strategy_from_text(text)
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661"], ids=["underscore", "arabic-indic-one"])
+    def test_rejects_tokens_that_are_not_ascii_decimal_digits(self, token):
+        # int() reads both ('1_0' as 10, '\u0661' as 1)
+        with pytest.raises(ValueError, match="ASCII decimal integers"):
+            strategy_from_text(edited_table(6, f"1 {token}"))
 
     def test_rejects_duplicate_input_line(self):
         text = strategy_to_text(send_first_bit())

@@ -7,7 +7,7 @@ import pytest
 
 from racsim import advantage, quantum
 from racsim.classical import majority_identity_strategy, strategy_to_text
-from racsim.classical import ClassicalTask
+from racsim.classical import ClassicalTask, DeterministicStrategy
 from racsim.cli import main
 
 
@@ -138,6 +138,19 @@ class TestOracle:
         assert code == 3
         assert str(math.comb(2**40 + 1, 2)) in err
 
+    def test_size_past_the_digit_limit_exits_three(self, capsys):
+        # C(2^20000 + 1, 2) has 12,042 digits, past Python's int-to-str limit
+        code, _, err = run_cli(capsys, "oracle", "--n", "20000", "--d", "2")
+        assert code == 3
+        assert err.startswith("error: exhaustive search needs about 10^12041 column multisets, above the budget")
+
+    def test_non_ascii_digit_in_strategy_file_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text("2 2\n0 0 0\n0 1 0\n1 0 1\n1 1 1\n0 0\n1 \u0661\n0 0\n1 1\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "oracle", "--evaluate", str(path))
+        assert code == 2
+        assert "ASCII decimal integers" in err
+
     def test_negative_budget_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--n", "2", "--d", "2", "--max-tuples", "-1")
         assert code == 2
@@ -232,6 +245,22 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert "FAIL  forced failure" in out
+
+    def test_majority_check_builds_no_strategies(self, monkeypatch):
+        # only the five oracle witnesses are DeterministicStrategy objects;
+        # the 126 majority tables are scored as arrays
+        import racsim.cli as cli_module
+
+        built = []
+        post_init = DeterministicStrategy.__post_init__
+
+        def counting(self):
+            built.append((self.n, self.d))
+            post_init(self)
+
+        monkeypatch.setattr(DeterministicStrategy, "__post_init__", counting)
+        assert all(ok for _, ok, _ in cli_module._verify_checks())
+        assert len(built) <= 5
 
     def test_cross_check_failure_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(advantage, "closed_form_restricted", off_by_1e9)
