@@ -34,7 +34,6 @@ from .quantum import (
     encode_restricted,
     exact_success,
     guess_from_outcome,
-    guess_matrix,
 )
 from .report import SuccessReport
 
@@ -64,7 +63,6 @@ __all__ = [
     "exact_success",
     "full_to_classical_ratio",
     "guess_from_outcome",
-    "guess_matrix",
     "majority_identity_strategy",
     "mixture_value",
     "optimal_classical_bruteforce",

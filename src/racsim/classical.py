@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .report import SuccessReport, check_int
+from .report import SuccessReport, check_int, check_weight
 
 #: Column-multiset budget below which the oracle runs without an override.
 #: Covers (n=2, d<=6) at ~4.5M, (n=3, d<=4) at ~766k and (n<=5, d=3) at ~2.4M.
@@ -282,8 +281,7 @@ def mixture_value(
         raise ValueError("mixture needs at least one strategy")
     weights = [w for _, w in strategies]
     for w in weights:
-        if isinstance(w, bool) or not isinstance(w, numbers.Real) or not (math.isfinite(w) and w >= 0):
-            raise ValueError(f"weights must be finite nonnegative real numbers, got {w!r}")
+        check_weight(w, "weights")
     if abs(sum(weights) - 1.0) > 1e-12:
         raise ValueError(f"weights must sum to 1, got {sum(weights)}")
     return sum(w * evaluate_strategy(task, s).average for s, w in strategies)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import DeterministicStrategy
-from .quantum import ProtocolSpec, _born_table, _powers, guess_from_outcome
+from .quantum import ProtocolSpec, _born_table, _check_spec, _guess_rule, _powers
 from .report import check_int
 
 #: Version of the seeded variate stream; it changes whenever a seed would
@@ -64,15 +64,14 @@ def _play(protocol, config: TrialConfig) -> Iterator[tuple[np.ndarray, np.ndarra
         cdfs = np.cumsum(_born_table(protocol), axis=-1)  # [y-1, power, outcome]
         # Guard against cumulative rounding pushing a uniform past the last level.
         cdfs[..., -1] = 1.0
-        guess_set = np.array([a for a, _ in guess_from_outcome(0, protocol).support], dtype=np.int64)
-        fallback = len(guess_set)
+        guess_set = _guess_rule(protocol)[0]
 
         def answer(rng, inputs, y):
             u_outcome = rng.random(len(y))
             u_guess = rng.random(len(y))
             a, b = _powers(protocol, inputs[:, 0], inputs[:, 1])
             outcome = (u_outcome[:, None] >= cdfs[y - 1, np.where(y == 1, a, b)]).sum(axis=1)
-            guess_idx = np.minimum((u_guess * fallback).astype(np.int64), fallback - 1)
+            guess_idx = np.minimum((u_guess * len(guess_set)).astype(np.int64), len(guess_set) - 1)
             return np.where(outcome == 0, guess_set[guess_idx], outcome)
 
     elif isinstance(protocol, DeterministicStrategy):
@@ -111,9 +110,7 @@ def answer_counts(spec: ProtocolSpec, config: TrialConfig) -> np.ndarray:
     Uses the same variate stream as :func:`simulate`, so the histogram is the
     full record of an identically-seeded run.
     """
-    if not isinstance(spec, ProtocolSpec):
-        raise TypeError(f"answer counts need a ProtocolSpec, got {type(spec).__name__}")
-    shape = (spec.d, spec.d, 2, spec.d)
+    shape = (_check_spec(spec).d, spec.d, 2, spec.d)
     counts = np.zeros(math.prod(shape), dtype=np.int64)
     for inputs, y, answers in _play(spec, config):
         # One expression: a named cell index would stay alive while the next chunk is drawn.

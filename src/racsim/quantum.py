@@ -14,7 +14,7 @@ distinguish from 0.
 Every encoded state is Shift^a Clock^b on the anchor, so each measurement
 sees the anchor's Born distribution in its decoding basis rolled by one
 power.  Exact success probabilities read every (input, question) cell of the
-game from those 2*d_prime rolled distributions, and are also available in
+game straight from the anchor's two distributions, and are also available in
 closed form.
 """
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qudit
-from .report import SuccessReport, check_int
+from .report import SuccessReport, check_int, check_weight
 
 
 class GatingVariant(enum.Enum):
@@ -81,20 +81,12 @@ class GuessDistribution:
     support: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        total = 0.0
         for answer, prob in self.support:
             check_int(answer, "guess answer", 0)
-            if prob < 0.0:
-                raise ValueError(f"probabilities must be nonnegative, got {prob}")
-            total += prob
+            check_weight(prob, "guess probabilities")
+        total = sum(prob for _, prob in self.support)
         if abs(total - 1.0) > qudit.ATOL:
             raise ValueError(f"guess probabilities must sum to 1, got {total}")
-
-    def as_vector(self, d: int) -> np.ndarray:
-        vec = np.zeros(d)
-        for a, p in self.support:
-            vec[a] += p
-        return vec
 
 
 def _powers(spec: ProtocolSpec, x1, x2) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +109,7 @@ def encode_restricted(spec: ProtocolSpec, x1: int, x2: int) -> np.ndarray:
     The state is Shift^a Clock^b on the anchor, with the powers (a, b) of
     :func:`_powers`; on a full spec (``d_prime == d``) that is Shift^x1 Clock^x2.
     """
-    check_int(x1, "x1", 0, spec.d - 1)
+    check_int(x1, "x1", 0, _check_spec(spec).d - 1)
     check_int(x2, "x2", 0, spec.d - 1)
     a, b = _powers(spec, x1, x2)
     state = qudit.apply_clock(qudit.anchor_state(spec.d_prime), int(b))
@@ -131,6 +123,22 @@ def decoding_basis(d_prime: int, y: int) -> np.ndarray:
     return qudit.fourier_basis(d_prime)
 
 
+def _check_spec(spec) -> ProtocolSpec:
+    if not isinstance(spec, ProtocolSpec):
+        raise TypeError(f"expected a ProtocolSpec, got {type(spec).__name__}")
+    return spec
+
+
+def _guess_rule(spec: ProtocolSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dits guessed uniformly after outcome 0, and per dit x the one outcome
+    that can announce x (x for 1 <= x < d_prime, else 0) and the chance it does.
+    """
+    fallback = np.concatenate(([0], np.arange(spec.d_prime, spec.d)))
+    outcome, chance = np.arange(spec.d), np.ones(spec.d)
+    outcome[fallback], chance[fallback] = 0, 1.0 / len(fallback)
+    return fallback, outcome, chance
+
+
 def guess_from_outcome(outcome: int, spec: ProtocolSpec) -> GuessDistribution:
     """Answer distribution after observing one measurement outcome.
 
@@ -139,20 +147,17 @@ def guess_from_outcome(outcome: int, spec: ProtocolSpec) -> GuessDistribution:
     uniformly from {0, d_prime, ..., d-1}; for d_prime == d that set collapses
     to {0} and the rule degenerates to announcing 0.
     """
-    check_int(outcome, "outcome", 0, spec.d_prime - 1)
+    check_int(outcome, "outcome", 0, _check_spec(spec).d_prime - 1)
     if outcome >= 1:
         return GuessDistribution(((outcome, 1.0),))
-    fallback = (0, *range(spec.d_prime, spec.d))
-    p = 1.0 / len(fallback)
-    return GuessDistribution(tuple((a, p) for a in fallback))
+    fallback, _, chance = _guess_rule(spec)
+    return GuessDistribution(tuple(zip(fallback.tolist(), chance[fallback].tolist())))
 
 
-def guess_matrix(spec: ProtocolSpec) -> np.ndarray:
-    """Matrix G with G[l, a] = probability of answering a after outcome l."""
-    mat = np.zeros((spec.d_prime, spec.d))
-    for outcome in range(spec.d_prime):
-        mat[outcome] = guess_from_outcome(outcome, spec).as_vector(spec.d)
-    return mat
+def _anchor_born(m: int) -> np.ndarray:
+    """Born distributions B[y-1, l] of outcome l when the anchor is measured for question y."""
+    anchor = qudit.anchor_state(m)
+    return np.stack([qudit.born_distribution(anchor, decoding_basis(m, y)) for y in (1, 2)])
 
 
 def _born_table(spec: ProtocolSpec) -> np.ndarray:
@@ -162,31 +167,35 @@ def _born_table(spec: ProtocolSpec) -> np.ndarray:
     and its Fourier-basis distribution by b, leaving the other one alone.
     """
     m = spec.d_prime
-    anchor = qudit.anchor_state(m)
-    base = np.stack([qudit.born_distribution(anchor, decoding_basis(m, y)) for y in (1, 2)])
     rolls = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m  # [p, l] -> l - p
-    return base[:, rolls]
+    return _anchor_born(m)[:, rolls]
+
+
+def _announced(born: np.ndarray, rule, dits, power) -> np.ndarray:
+    """Per dit: its outcome's ``born`` entry, rolled by ``power``, times the chance its guess names it."""
+    _, outcome, chance = rule
+    return born[(outcome[dits] - power) % born.size] * chance[dits]
 
 
 def answer_distribution(spec: ProtocolSpec, x1: int, x2: int, y: int) -> np.ndarray:
     """Exact distribution of the announced answer for one (input, question) cell."""
-    check_int(x1, "x1", 0, spec.d - 1)
+    check_int(x1, "x1", 0, _check_spec(spec).d - 1)
     check_int(x2, "x2", 0, spec.d - 1)
-    check_int(y, "question index y", 1, 2)
-    power = _powers(spec, x1, x2)[y - 1]
-    return _born_table(spec)[y - 1, power] @ guess_matrix(spec)
+    power = _powers(spec, x1, x2)[check_int(y, "question index y", 1, 2) - 1]
+    return _announced(_anchor_born(spec.d_prime)[y - 1], _guess_rule(spec), np.arange(spec.d), power)
 
 
 def exact_success(spec: ProtocolSpec) -> SuccessReport:
     """Enumerate the whole game and report exact success probabilities.
 
     Each (input, question) cell reads the probability of announcing its dit
-    from the answer-table row that its gated power selects.
+    from the anchor's Born distribution rolled by its gated power.
     """
-    answers = _born_table(spec) @ guess_matrix(spec)  # [y-1, power, answer]
-    x1, x2 = np.meshgrid(np.arange(spec.d), np.arange(spec.d), indexing="ij")
+    born, rule = _anchor_born(_check_spec(spec).d_prime), _guess_rule(spec)
+    x1, x2 = np.arange(spec.d)[:, None], np.arange(spec.d)[None, :]
     a, b = _powers(spec, x1, x2)
-    per_input = np.stack([answers[0, a, x1], answers[1, b, x2]], axis=-1)
+    per_input = np.empty((spec.d, spec.d, 2))
+    per_input[..., 0], per_input[..., 1] = _announced(born[0], rule, x1, a), _announced(born[1], rule, x2, b)
     return SuccessReport.from_per_input(per_input)
 
 

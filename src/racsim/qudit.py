@@ -43,11 +43,10 @@ def computational_basis(dim: int) -> np.ndarray:
 
 def fourier_basis(dim: int) -> np.ndarray:
     """Discrete-Fourier basis: row l has amplitude omega^(k*l)/sqrt(dim) at index k."""
-    dim = check_int(dim, "dimension", 1)
-    # Reduce the exponent mod dim before exponentiating to keep phases exact
-    # for large dim*l products.
-    exponents = np.outer(np.arange(dim), np.arange(dim)) % dim
-    return np.exp(2j * np.pi * exponents / dim) / np.sqrt(dim)
+    k = np.arange(check_int(dim, "dimension", 1))
+    # Exponentiate the dim distinct phases once, then gather them by k*l mod
+    # dim, which also keeps the phases exact for large k*l products.
+    return (np.exp(2j * np.pi * k / dim) / np.sqrt(dim))[np.outer(k, k) % dim]
 
 
 def anchor_state(dim: int) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +30,8 @@ class SuccessReport:
         if per_input.ndim < 2:
             raise ValueError("per_input needs at least one input axis and a question axis")
         average = float(per_input.mean())
-        worst = float(per_input.mean(axis=-1).min())
+        # Question planes added in order: numpy's reduction over a short last axis is slow.
+        worst = float(sum(per_input[..., q] for q in range(per_input.shape[-1])).min()) / per_input.shape[-1]
         return cls(average=average, worst_case=worst, per_input=per_input)
 
 
@@ -45,3 +48,9 @@ def check_int(value, name: str, low: int | None = None, high: int | None = None)
         bounds = f"at least {low}" if high is None else f"in {low}..{high}"
         raise ValueError(f"{name} must be {bounds}, got {value}")
     return int(value)
+
+
+def check_weight(w, name: str) -> None:
+    """Reject ``w`` with ``ValueError`` unless it is a finite nonnegative real number (not bool)."""
+    if isinstance(w, bool) or not isinstance(w, numbers.Real) or not (math.isfinite(w) and w >= 0):
+        raise ValueError(f"{name} must be finite nonnegative real numbers, got {w!r}")

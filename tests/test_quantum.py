@@ -1,15 +1,19 @@
 """Quantum protocol encoders, decoders, and exact success evaluation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from racsim import qudit
+from racsim.advantage import r_max
 from racsim.quantum import (
     GatingVariant,
     GuessDistribution,
     ProtocolSpec,
+    _born_table,
+    _powers,
     answer_distribution,
     closed_form_full,
     closed_form_restricted,
@@ -17,7 +21,6 @@ from racsim.quantum import (
     encode_restricted,
     exact_success,
     guess_from_outcome,
-    guess_matrix,
 )
 
 from oracles import dense_answer_distribution, dense_encode, dense_game
@@ -191,9 +194,18 @@ class TestGuessFromOutcome:
         with pytest.raises(ValueError):
             GuessDistribution(((answer, 1.0),))
 
-    def test_guess_matrix_rows_are_distributions(self):
-        gmat = guess_matrix(ProtocolSpec(9, 6))
-        np.testing.assert_allclose(gmat.sum(axis=1), np.ones(6), atol=1e-12)
+    @pytest.mark.parametrize(
+        "prob",
+        [
+            pytest.param(float("nan"), id="nan"),
+            pytest.param(float("inf"), id="inf"),
+            pytest.param("1", id="str"),
+            pytest.param(True, id="bool"),
+        ],
+    )
+    def test_guess_distribution_rejects_non_finite_probabilities(self, prob):
+        with pytest.raises(ValueError):
+            GuessDistribution(((0, prob),))
 
 
 class TestExactSuccess:
@@ -274,6 +286,49 @@ class TestExactSuccess:
                     )
 
 
+def reference_per_input(spec):
+    """Answer table and per_input from the rolled Born table @ a guess matrix built from guess_from_outcome."""
+    guess = np.zeros((spec.d_prime, spec.d))
+    for outcome in range(spec.d_prime):
+        for a, p in guess_from_outcome(outcome, spec).support:
+            guess[outcome, a] += p
+    answers = _born_table(spec) @ guess  # [y-1, power, answer]
+    x1, x2 = np.meshgrid(np.arange(spec.d), np.arange(spec.d), indexing="ij")
+    a, b = _powers(spec, x1, x2)
+    return answers, np.stack([answers[0, a, x1], answers[1, b, x2]], axis=-1)
+
+
+class TestBitIdentity:
+    """The direct read gives the table-times-guess-matrix numbers exactly, so golden files hold."""
+
+    @pytest.mark.parametrize("variant", list(GatingVariant), ids=lambda v: v.value)
+    def test_exact_success_and_answer_distribution_match_reference(self, variant):
+        for d in range(1, 25):
+            for m in range(1, d + 1):
+                spec = ProtocolSpec(d, m, variant)
+                answers, per = reference_per_input(spec)
+                np.testing.assert_array_equal(exact_success(spec).per_input, per)
+                # (p, p) selects power p for both questions; the rest gate dits out of range.
+                for x1, x2 in [*((p, p) for p in range(m)), (d - 1, 0), (0, d - 1), (d - 1, d - 1)]:
+                    a, b = _powers(spec, x1, x2)
+                    for y, power in ((1, a), (2, b)):
+                        np.testing.assert_array_equal(
+                            answer_distribution(spec, x1, x2, y), answers[y - 1, power]
+                        )
+
+    def test_peak_memory_at_d_1024(self):
+        d = 1024
+        spec = ProtocolSpec(d, d - r_max(d))
+        tracemalloc.start()
+        try:
+            report = exact_success(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
+        assert report.average == pytest.approx(closed_form_restricted(d, r_max(d)), abs=1e-12)
+
+
 class TestClosedForms:
     def test_full_values(self):
         assert closed_form_full(2) == pytest.approx(0.8535533905932737, abs=1e-12)
@@ -300,3 +355,17 @@ class TestClosedForms:
     def test_rejects_non_integers(self, form, args):
         with pytest.raises(ValueError):
             form(*args)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: exact_success("x"), id="exact_success"),
+        pytest.param(lambda: answer_distribution("x", 0, 0, 1), id="answer_distribution"),
+        pytest.param(lambda: guess_from_outcome(0, "x"), id="guess_from_outcome"),
+        pytest.param(lambda: encode_restricted("x", 0, 0), id="encode_restricted"),
+    ],
+)
+def test_rejects_non_spec(call):
+    with pytest.raises(TypeError):
+        call()

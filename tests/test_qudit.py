@@ -58,6 +58,12 @@ class TestFourierBasis:
         with pytest.raises(ValueError):
             qudit.fourier_basis(0)
 
+    @pytest.mark.parametrize("dim", [*range(1, 129), 1024])
+    def test_matches_dense_exponentiation_bit_for_bit(self, dim):
+        k = np.arange(dim)
+        expected = np.exp(2j * np.pi * (np.outer(k, k) % dim) / dim) / np.sqrt(dim)
+        assert np.array_equal(qudit.fourier_basis(dim), expected)
+
 
 class TestApplyPauli:
     def test_shift_wraps_cyclically(self):
