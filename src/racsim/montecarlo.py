@@ -13,8 +13,13 @@ order, with the chunk size, is random stream ``STREAM_VERSION``.  Memory is
 set by the chunk, not by the trial count.
 
 Outcome sampling inverts the cumulative Born distribution of the trial's
-(input, question) cell, read from the rolled Born table that exact evaluation
-uses; no state collapse is simulated.
+(input, question) cell, built from the anchor's Born distributions that exact
+evaluation reads; no state collapse is simulated.  Each call lays the 2·d′
+cumulative rows out in one flat table, each row padded to a power of two, and
+finds every trial's outcome by a binary search over its row: ⌈log₂ d′⌉ steps
+on trial-length arrays.  The search finds the outcome a comparison against the
+whole row would, so the stream is unchanged.  Beside that one table, memory is
+set by the chunk, whatever d′ is.
 """
 
 from __future__ import annotations
@@ -60,17 +65,32 @@ class Estimate:
 def _play(protocol, config: TrialConfig) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Inputs, questions and answers of each chunk of at most ``_CHUNK`` trials."""
     if isinstance(protocol, ProtocolSpec):
-        n, d = 2, protocol.d
-        cdfs = np.cumsum(_born_table(protocol), axis=-1)  # [y-1, power, outcome]
-        # Guard against cumulative rounding pushing a uniform past the last level.
-        cdfs[..., -1] = 1.0
+        n, d, m = 2, protocol.d, protocol.d_prime
+        # One flat table of cumulative Born rows [y-1, power], each padded with
+        # 2.0 (above every uniform) to ``width``, the smallest power of two >= m.
+        # The last real entry is forced to 1.0, so cumulative rounding cannot
+        # push a uniform past the last outcome.
+        width = 1 << (m - 1).bit_length()
+        cdfs = np.full((2, m, width), 2.0)
+        np.cumsum(_born_table(protocol), axis=-1, out=cdfs[..., :m])
+        cdfs[..., m - 1] = 1.0
+        cdfs = cdfs.ravel()
         guess_set = _guess_rule(protocol)[0]
 
         def answer(rng, inputs, y):
             u_outcome = rng.random(len(y))
             u_guess = rng.random(len(y))
             a, b = _powers(protocol, inputs[:, 0], inputs[:, 1])
-            outcome = (u_outcome[:, None] >= cdfs[y - 1, np.where(y == 1, a, b)]).sum(axis=1)
+            # The outcome is the number of row entries <= u.  They form a prefix
+            # of the row (cumulative sums never decrease; the forced 1.0 and the
+            # padding exceed u), so a branchless binary search counts them.
+            row = ((y - 1) * m + np.where(y == 1, a, b)) * width
+            end = row.copy()
+            step = width >> 1
+            while step:
+                end += step * (cdfs[end + (step - 1)] <= u_outcome)
+                step >>= 1
+            outcome = end - row
             guess_idx = np.minimum((u_guess * len(guess_set)).astype(np.int64), len(guess_set) - 1)
             return np.where(outcome == 0, guess_set[guess_idx], outcome)
 

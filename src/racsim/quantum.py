@@ -157,7 +157,8 @@ def guess_from_outcome(outcome: int, spec: ProtocolSpec) -> GuessDistribution:
 def _anchor_born(m: int) -> np.ndarray:
     """Born distributions B[y-1, l] of outcome l when the anchor is measured for question y."""
     anchor = qudit.anchor_state(m)
-    return np.stack([qudit.born_distribution(anchor, decoding_basis(m, y)) for y in (1, 2)])
+    # The computational basis is the identity, so its distribution is |anchor|^2.
+    return np.stack([np.abs(anchor) ** 2, qudit.born_distribution(anchor, decoding_basis(m, 2))])
 
 
 def _born_table(spec: ProtocolSpec) -> np.ndarray:

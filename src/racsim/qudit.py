@@ -45,8 +45,11 @@ def fourier_basis(dim: int) -> np.ndarray:
     """Discrete-Fourier basis: row l has amplitude omega^(k*l)/sqrt(dim) at index k."""
     k = np.arange(check_int(dim, "dimension", 1))
     # Exponentiate the dim distinct phases once, then gather them by k*l mod
-    # dim, which also keeps the phases exact for large k*l products.
-    return (np.exp(2j * np.pi * k / dim) / np.sqrt(dim))[np.outer(k, k) % dim]
+    # dim, which also keeps the phases exact for large k*l products.  The
+    # dim x dim index is built first, so a basis too large to hold fails
+    # before the phases are.
+    index = np.outer(k, k) % dim
+    return (np.exp(2j * np.pi * k / dim) / np.sqrt(dim))[index]
 
 
 def anchor_state(dim: int) -> np.ndarray:

@@ -4,6 +4,8 @@ Everything here recomputes the protocols from first principles with dense
 matrices, numpy matrix powers, explicit projectors, and numeric
 normalization, deliberately sharing no code path with the package under
 test.  Values frozen into the test modules were produced by these functions.
+The one exception is the Monte Carlo stream replay, which takes the package's
+Born table as an argument: drawing the same outcomes needs the same floats.
 """
 
 from __future__ import annotations
@@ -135,3 +137,36 @@ def classical_optimum_by_column_multisets(n: int, d: int) -> tuple[Fraction, tup
     columns = list(zip(*best_decoders))
     encoder = tuple(max(range(d), key=lambda m: right(columns[m], x)) for x in inputs)
     return Fraction(best_hits, n * d**n), best_decoders, encoder
+
+
+def whole_row_answer_counts(
+    d: int, d_prime: int, variant: str, trials: int, seed: int, born_table: np.ndarray, chunk: int
+) -> np.ndarray:
+    """Answer histogram [x1, x2, y-1, answer] of random stream 2, sampled by whole rows.
+
+    Replays ``default_rng(seed)`` chunk by chunk in the stream's order: the
+    (size, 2) inputs, the questions, the outcome uniforms, the guess uniforms.
+    Each outcome counts the entries of its cumulative Born row that are <= its
+    uniform, the row's last entry forced to 1.0.  ``born_table[y-1, power,
+    outcome]`` is the rolled Born table of the sampler under test.
+    """
+    cdfs = np.cumsum(born_table, axis=-1)
+    cdfs[..., -1] = 1.0
+    fallback = np.array([0] + list(range(d_prime, d)))
+    counts = np.zeros((d, d, 2, d), dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    for start in range(0, trials, chunk):
+        size = min(chunk, trials - start)
+        inputs = rng.integers(0, d, (size, 2))
+        y = rng.integers(1, 3, size)
+        u_outcome = rng.random(size)
+        u_guess = rng.random(size)
+        x1, x2 = inputs[:, 0], inputs[:, 1]
+        fits1, fits2 = x1 < d_prime, x2 < d_prime
+        if variant == "literal":
+            fits1 = fits2 = fits1 & fits2
+        power = np.where(y == 1, np.where(fits1, x1, 0), np.where(fits2, x2, 0))
+        outcome = (u_outcome[:, None] >= cdfs[y - 1, power]).sum(axis=1)
+        guess = fallback[np.minimum((u_guess * len(fallback)).astype(np.int64), len(fallback) - 1)]
+        np.add.at(counts, (x1, x2, y - 1, np.where(outcome == 0, guess, outcome)), 1)
+    return counts

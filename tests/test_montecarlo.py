@@ -3,19 +3,23 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from scipy import stats
 
 from racsim.classical import ClassicalTask, majority_identity_strategy
-from racsim.montecarlo import _CHUNK, TrialConfig, answer_counts, simulate
+from racsim.montecarlo import _CHUNK, STREAM_VERSION, TrialConfig, answer_counts, simulate
 from racsim.quantum import (
     GatingVariant,
     ProtocolSpec,
+    _born_table,
     answer_distribution,
     closed_form_full,
     closed_form_restricted,
     exact_success,
 )
+
+from oracles import whole_row_answer_counts
 
 
 def reference_protocols():
@@ -65,6 +69,21 @@ class TestReproducibility:
         config = TrialConfig(trials=50_000, seed=99)
         assert simulate(strategy, config) == simulate(strategy, config)
 
+    @pytest.mark.parametrize("variant", list(GatingVariant))
+    @pytest.mark.parametrize(
+        "d, d_prime, trials",
+        [(3, 1, 20_000), (2, 2, 20_000), (4, 3, 20_000), (6, 5, 2 * _CHUNK + 3), (10, 8, 20_000), (9, 9, 20_000),
+         (70, 64, 30_000)],
+    )
+    def test_answer_counts_replay_stream_two(self, d, d_prime, trials, variant):
+        """The sampler draws exactly the outcomes of a whole-row comparison
+        against the cumulative Born rows, the stream-2 reference."""
+        assert STREAM_VERSION == 2
+        spec = ProtocolSpec(d, d_prime, variant)
+        seed = 1000 * d + d_prime
+        expected = whole_row_answer_counts(d, d_prime, variant.value, trials, seed, _born_table(spec), _CHUNK)
+        np.testing.assert_array_equal(answer_counts(spec, TrialConfig(trials, seed)), expected)
+
 
 class TestEstimates:
     def test_single_trial_is_bernoulli(self):
@@ -99,6 +118,17 @@ class TestEstimates:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+    def test_memory_is_bounded_at_large_quantum_dimension(self):
+        """Outcome sampling holds no (chunk x d') array: 1e5 trials at d' = 1024
+        needed about 900 MB of cumulative rows when compared row by row."""
+        tracemalloc.start()
+        try:
+            simulate(ProtocolSpec.full(1024), TrialConfig(trials=100_000, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
 
 class TestConvergence:

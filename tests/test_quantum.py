@@ -12,6 +12,7 @@ from racsim.quantum import (
     GatingVariant,
     GuessDistribution,
     ProtocolSpec,
+    _anchor_born,
     _born_table,
     _powers,
     answer_distribution,
@@ -315,6 +316,13 @@ class TestBitIdentity:
                         np.testing.assert_array_equal(
                             answer_distribution(spec, x1, x2, y), answers[y - 1, power]
                         )
+
+    def test_anchor_computational_distribution_matches_identity_measurement(self):
+        """|anchor|^2 is, bit for bit, the Born rule in the identity basis it replaced."""
+        for m in [*range(1, 300), 512, 1024]:
+            anchor = qudit.anchor_state(m)
+            expected = qudit.born_distribution(anchor, qudit.computational_basis(m))
+            np.testing.assert_array_equal(_anchor_born(m)[0], expected)
 
     def test_peak_memory_at_d_1024(self):
         d = 1024

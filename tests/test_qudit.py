@@ -1,5 +1,10 @@
 """Qudit primitives: bases, operators, anchor state, Born rule."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -57,6 +62,27 @@ class TestFourierBasis:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             qudit.fourier_basis(0)
+
+    def test_oversized_basis_fails_before_building_phases(self):
+        """The dim x dim index is allocated first, so a basis too large to hold
+        raises MemoryError having touched no more than the index vector."""
+        script = textwrap.dedent(
+            """
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from racsim import qudit
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            try:
+                qudit.fourier_basis(10**6)
+            except MemoryError:
+                print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+            """
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        # ru_maxrss is in KiB: the 8 MB int64 vector k, not the 16 MB phases beside it.
+        assert int(result.stdout) < 12 * 1024
 
     @pytest.mark.parametrize("dim", [*range(1, 129), 1024])
     def test_matches_dense_exponentiation_bit_for_bit(self, dim):
