@@ -1,26 +1,29 @@
 """Where a smaller quantum system still beats the best classical code.
 
 The restricted protocol at dimensional advantage r improves on the optimal
-classical two-dit code exactly when d > r^2 + 3r + 1 (strictly).  This module
-evaluates that condition, finds the largest admissible r per alphabet size,
-and tabulates the resulting staircase together with the closed-form and
-enumeration-verified success probabilities.
-
-``r_max`` deliberately uses an integer search against the strict inequality
-rather than the floor expression floor((-3 + sqrt(4d + 5)) / 2): whenever
-4d + 5 is a perfect square (d = 11 is the first case) the floor expression
-admits an r that only ties the classical value, and ties do not count as an
-advantage.
+classical two-dit code exactly when d > r^2 + 3r + 1 (strictly).  In integers
+that is d >= (r + 1)(r + 2), i.e. 4d + 1 >= (2r + 3)^2, a non-strict bound that
+``r_max`` solves exactly as (isqrt(4d + 1) - 3) // 2.  The float expression
+floor((-3 + sqrt(4d + 5)) / 2) treats the strict bound as non-strict, so when
+4d + 5 is a perfect square (d = 11 first) it admits an r that only ties the
+classical value.  The closed forms are cross-checked at band edges only:
+p_restricted(d, r) falls as r grows and, at fixed r, the advantage grows with
+d, so an advantage at the first d of band r and none for r + 1 at its last d
+imply every row between.  ``scan`` tabulates the staircase with closed-form
+and enumeration-verified success probabilities.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .classical import closed_form_classical
-from .quantum import ProtocolSpec, closed_form_full, closed_form_restricted, exact_success
+import numpy as np
+
+from .classical import _two_dit_value, closed_form_classical
+from .quantum import ProtocolSpec, _restricted_value, exact_success
+from .quantum import closed_form_full, closed_form_restricted
 from .report import check_int
 
 #: Largest d for which scan() cross-checks the closed form by enumeration.
@@ -29,8 +32,7 @@ VERIFY_DMAX = 64
 _VERIFY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class AdvantageRow:
+class AdvantageRow(NamedTuple):
     """One alphabet size of the staircase table."""
 
     d: int
@@ -48,43 +50,47 @@ def restricted_exact_value(d: int, r: int) -> Fraction | None:
     The closed form is rational precisely when d - r is a perfect square;
     returns None otherwise.
     """
-    check_int(d, "alphabet size d", 1)
-    check_int(r, "dimensional advantage r", 0, d - 1)
-    m = d - r
+    d = check_int(d, "alphabet size d", 1)
+    m = d - check_int(r, "dimensional advantage r", 0, d - 1)
     root = math.isqrt(m)
-    if root * root != m:
-        return None
-    return Fraction(m, 2 * d) * (1 + Fraction(1, root))
+    return Fraction(m, 2 * d) * (1 + Fraction(1, root)) if root * root == m else None
 
 
 def advantage_holds(d: int, r: int) -> bool:
     """True when encoding into dimension d - r strictly beats the classical code."""
-    check_int(d, "alphabet size d", 1)
-    check_int(r, "dimensional advantage r", 0, d - 1)
+    d = check_int(d, "alphabet size d", 1)
+    r = check_int(r, "dimensional advantage r", 0, d - 1)
     holds = d > r * r + 3 * r + 1
 
     # Cross-check against the closed forms themselves: exactly in rational
     # arithmetic when d - r is a perfect square (the only place ties occur),
-    # in floating point otherwise.
+    # in floating point otherwise.  Near a band edge the gap is ~1/(4 r^3), below
+    # double resolution from d ~ 1e12 on, so within 8 ulps m + sqrt(m) > d + 1
+    # (m = d - r) is decided as m > (d + 1 - m)^2.
     exact = restricted_exact_value(d, r)
     if exact is not None:
         from_forms = exact > Fraction(d + 1, 2 * d)
     else:
-        from_forms = closed_form_restricted(d, r) > closed_form_classical(2, d)
+        gap, m = closed_form_restricted(d, r) - closed_form_classical(2, d), d - r
+        from_forms = gap > 0 if abs(gap) > 8 * math.ulp(0.5) else m > (d + 1 - m) ** 2
     if from_forms != holds:
-        raise AssertionError(
-            f"advantage condition disagrees with closed forms at d={d}, r={r}"
-        )
+        raise AssertionError(f"advantage condition disagrees with closed forms at d={d}, r={r}")
     return holds
+
+
+def _band(first: int, d_max: int) -> tuple[int, int]:
+    """Exact r_max at d = first and the last d <= d_max sharing it, cross-checked at both ends."""
+    r = (math.isqrt(4 * first + 1) - 3) // 2
+    last = min(d_max, (r + 2) * (r + 3) - 1)
+    if (r >= 1 and not advantage_holds(first, r)) or advantage_holds(last, r + 1):
+        raise AssertionError(f"r_max = {r} disagrees with the advantage condition at d={first}..{last}")
+    return r, last
 
 
 def r_max(d: int) -> int:
     """Largest r with a strict advantage; 0 when no restricted encoding helps."""
-    check_int(d, "alphabet size d", 2)
-    r = 0
-    while advantage_holds(d, r + 1):
-        r += 1
-    return r
+    d = check_int(d, "alphabet size d", 2)
+    return _band(d, d)[0]
 
 
 def scan(d_min: int = 2, d_max: int = 50) -> list[AdvantageRow]:
@@ -94,34 +100,28 @@ def scan(d_min: int = 2, d_max: int = 50) -> list[AdvantageRow]:
     quantum closed forms, and the restricted value at that advantage.  The
     restricted value of every row with d <= VERIFY_DMAX is recomputed by
     exhaustive Born-rule enumeration and must agree with the closed form to
-    1e-12, else ``AssertionError`` is raised.
+    1e-12, else ``AssertionError`` is raised.  Columns are built as int64 and
+    float64 arrays, so d_max may be at most 2^63 - 1.
     """
-    check_int(d_min, "d_min", 2)
-    check_int(d_max, "d_max", d_min)
-    rows = []
-    for d in range(d_min, d_max + 1):
-        r = r_max(d)
-        p_classical = closed_form_classical(2, d)
-        p_full = closed_form_full(d)
-        p_restricted = closed_form_restricted(d, r)
-        if d <= VERIFY_DMAX:
-            enumerated = exact_success(ProtocolSpec(d=d, d_prime=d - r)).average
-            if abs(enumerated - p_restricted) > _VERIFY_TOL:
-                raise AssertionError(
-                    f"enumeration {enumerated!r} disagrees with the closed form "
-                    f"{p_restricted!r} at d={d}, r={r}"
-                )
-        rows.append(
-            AdvantageRow(
-                d=d,
-                d_prime=d - r,
-                r_max=r,
-                p_classical=p_classical,
-                p_quantum_full=p_full,
-                p_quantum_restricted=p_restricted,
-                ratio=p_restricted / p_classical,
+    d_min = check_int(d_min, "d_min", 2)
+    d_max = check_int(d_max, "d_max", d_min, np.iinfo(np.int64).max)
+    d, first = d_min + np.arange(d_max - d_min + 1, dtype=np.int64), d_min
+    r = np.empty_like(d)
+    while first <= d_max:
+        band, last = _band(first, d_max)
+        r[first - d_min : last - d_min + 1] = band
+        first = last + 1
+    p_classical, p_restricted = _two_dit_value(d), _restricted_value(d, d - r)
+    columns = [d, d - r, r, p_classical, _restricted_value(d, d), p_restricted, p_restricted / p_classical]
+    rows = list(map(AdvantageRow._make, zip(*(column.tolist() for column in columns))))
+    for row in rows[: max(0, VERIFY_DMAX - d_min + 1)]:
+        p_restricted = closed_form_restricted(row.d, row.r_max)
+        enumerated = exact_success(ProtocolSpec(d=row.d, d_prime=row.d_prime)).average
+        if abs(enumerated - p_restricted) > _VERIFY_TOL:
+            raise AssertionError(
+                f"enumeration {enumerated!r} disagrees with the closed form "
+                f"{p_restricted!r} at d={row.d}, r={row.r_max}"
             )
-        )
     return rows
 
 

@@ -166,12 +166,17 @@ def majority_identity_strategy(task: ClassicalTask) -> DeterministicStrategy:
     return DeterministicStrategy(n=n, d=d, encoder=encoder, decoders=(tuple(range(d)),) * n)
 
 
+def _two_dit_value(d):
+    """Optimal classical two-dit success (1 + 1/d) / 2, for one int or elementwise over an array."""
+    return 0.5 * (1.0 + 1.0 / d)
+
+
 def closed_form_classical(n: int, d: int) -> float:
     """Optimal classical average success for n = 2 or n = 3."""
-    check_int(n, "string length n of a known closed form", 2, 3)
-    check_int(d, "alphabet size d", 2)
+    n = check_int(n, "string length n of a known closed form", 2, 3)
+    d = check_int(d, "alphabet size d", 2)
     if n == 2:
-        return 0.5 * (1.0 + 1.0 / d)
+        return _two_dit_value(d)
     return (1.0 + 3.0 / d - 1.0 / d**2) / 3.0
 
 

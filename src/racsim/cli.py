@@ -27,7 +27,7 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -140,12 +140,12 @@ _SCAN_TEXT_ROW = "{:>4} {:>6} {:>5} {:>11} {:>11} {:>11} {:>11}"
 
 
 def cmd_scan(args: argparse.Namespace) -> Report:
-    rows = [astuple(row) for row in advantage.scan(args.dmin, args.dmax)]
+    rows = advantage.scan(args.dmin, args.dmax)
     return Report(
         "scan",
         {"dmin": args.dmin, "dmax": args.dmax},
         sources={
-            "r_max": "strict-inequality search",
+            "r_max": "closed form isqrt(4d+1), closed forms checked at band edges",
             "p_classical": "formula",
             "p_quantum_full": "formula",
             "p_quantum_restricted": f"formula, enumeration-verified for d <= {advantage.VERIFY_DMAX}",

@@ -21,7 +21,6 @@ closed form.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,10 +199,18 @@ def exact_success(spec: ProtocolSpec) -> SuccessReport:
     return SuccessReport.from_per_input(per_input)
 
 
+def _restricted_value(d, m):
+    """(m / (2 d)) (1 + 1/sqrt(m)) at quantum dimension m = d - r, for floats or arrays.
+
+    At m = d the first factor is exactly 0.5, so this is also the full closed form.
+    """
+    return (m / (2.0 * d)) * (1.0 + 1.0 / np.sqrt(m))
+
+
 def closed_form_full(d: int) -> float:
     """Average success of the full protocol: (1 + 1/sqrt(d)) / 2."""
-    check_int(d, "alphabet size d", 1)
-    return 0.5 * (1.0 + 1.0 / math.sqrt(d))
+    d = float(check_int(d, "alphabet size d", 1))
+    return float(_restricted_value(d, d))
 
 
 def closed_form_restricted(d: int, r: int) -> float:
@@ -212,7 +219,6 @@ def closed_form_restricted(d: int, r: int) -> float:
     Equals ((d - r) / (2 d)) * (1 + 1/sqrt(d - r)); reduces to the full
     closed form at r = 0.
     """
-    check_int(d, "alphabet size d", 1)
-    check_int(r, "dimensional advantage r", 0, d - 1)
-    m = d - r
-    return (m / (2.0 * d)) * (1.0 + 1.0 / math.sqrt(m))
+    d = check_int(d, "alphabet size d", 1)
+    r = check_int(r, "dimensional advantage r", 0, d - 1)
+    return float(_restricted_value(float(d), float(d - r)))

@@ -94,7 +94,8 @@ def born_distribution(state: np.ndarray, basis: np.ndarray) -> np.ndarray:
             f"dimension mismatch: basis is {basis.shape[0]}-dimensional, "
             f"state is {state.shape[0]}-dimensional"
         )
-    return np.abs(basis.conj() @ state) ** 2
+    # |<b|s>| = |b . conj(s)|: conjugating the state spares a dim x dim copy of the basis.
+    return np.abs(basis @ state.conj()) ** 2
 
 
 def is_unit_norm(state: np.ndarray, atol: float = ATOL) -> bool:

@@ -93,6 +93,14 @@ def dense_answer_distribution(d: int, d_prime: int, x1: int, x2: int, y: int, va
     return dist
 
 
+def r_max_by_strict_search(d: int) -> int:
+    """Largest r with d > r^2 + 3r + 1, found by walking r upward in integers."""
+    r = 0
+    while d > (r + 1) ** 2 + 3 * (r + 1) + 1:
+        r += 1
+    return r
+
+
 def classical_average(n: int, d: int, encoder: dict, decoders: list[dict]) -> float:
     hits = 0
     for x in itertools.product(range(d), repeat=n):

@@ -2,8 +2,11 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from oracles import r_max_by_strict_search
+from racsim import advantage
 from racsim.advantage import (
     advantage_holds,
     full_to_classical_ratio,
@@ -41,6 +44,12 @@ class TestAdvantageHolds:
     def test_rejects_r_out_of_range(self):
         with pytest.raises(ValueError):
             advantage_holds(5, 5)
+
+    @pytest.mark.parametrize("d", [1000003000002, 1000003000003])
+    def test_near_ties_below_double_resolution_are_decided_exactly(self, d):
+        # d - r is no square here, and the closed forms differ by about 1/(4 r^3) ~ 2.5e-19.
+        assert advantage_holds(d, 10**6)
+        assert not advantage_holds(d, 10**6 + 1)
 
 
 class TestRMax:
@@ -80,6 +89,29 @@ class TestRMax:
                 assert advantage_holds(d, r)
             assert not advantage_holds(d, r + 1)
 
+    def test_matches_strict_search(self):
+        assert [r_max(d) for d in range(2, 20_001)] == [r_max_by_strict_search(d) for d in range(2, 20_001)]
+
+    @pytest.mark.parametrize("d", [1000003000001, 1000003000002, 1000003000003, 10**12, 2**61, 10**18])
+    def test_large_alphabets_land_in_their_band(self, d):
+        r = r_max(d)
+        assert (r + 1) * (r + 2) <= d < (r + 2) * (r + 3)
+
+    def test_band_beyond_double_resolution(self):
+        assert r_max(1000003000002) == 10**6
+
+    def test_numpy_integer_does_not_overflow(self):
+        assert r_max(np.int64(2**61)) == r_max(2**61)
+        assert r_max(np.int64(2**62)) == r_max(2**62)
+
+    @pytest.mark.parametrize("shift, d", [(-0.05, 7), (0.1, 10)], ids=["too-low", "too-high"])
+    def test_wrong_closed_form_is_caught(self, monkeypatch, shift, d):
+        monkeypatch.setattr(advantage, "closed_form_restricted", lambda d, r: closed_form_restricted(d, r) + shift)
+        with pytest.raises(AssertionError, match="disagrees with closed forms"):
+            r_max(d)
+        with pytest.raises(AssertionError, match="disagrees with closed forms"):
+            scan(65, 100)
+
 
 class TestScan:
     def test_no_advantage_region_keeps_full_protocol(self):
@@ -112,9 +144,37 @@ class TestScan:
         (row,) = scan(6, 6)
         assert row.ratio == pytest.approx(row.p_quantum_restricted / row.p_classical, abs=1e-15)
 
+    def test_rows_equal_scalar_closed_forms(self):
+        for row in scan(2, 5000):
+            r = r_max(row.d)
+            p_classical, p_restricted = closed_form_classical(2, row.d), closed_form_restricted(row.d, r)
+            assert row == (row.d, row.d - r, r, p_classical, closed_form_full(row.d), p_restricted,
+                           p_restricted / p_classical), row.d
+            assert all(type(value) is float for value in row[3:])
+
+    @pytest.mark.parametrize("d_min, d_max", [(7, 13), (11, 11), (29, 31), (12, 12), (19, 20)])
+    def test_partial_bands(self, d_min, d_max):
+        rows = scan(d_min, d_max)
+        assert [row.d for row in rows] == list(range(d_min, d_max + 1))
+        assert [row.r_max for row in rows] == [r_max_by_strict_search(d) for d in range(d_min, d_max + 1)]
+        assert rows == scan(2, d_max)[d_min - 2 :]
+
+    def test_hundred_thousand_rows(self):
+        rows = scan(2, 10**5)
+        assert len(rows) == 99_999
+        assert (rows[-1].d, rows[-1].r_max, rows[-1].d_prime) == (10**5, 314, 10**5 - 314)
+
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             scan(5, 2)
+
+    def test_rows_reach_the_int64_limit(self):
+        top = 2**63 - 1
+        rows = scan(top - 1, top)
+        assert [row.d for row in rows] == [top - 1, top]
+        assert all(type(row.d) is int and row.r_max == r_max(row.d) for row in rows)
+        with pytest.raises(ValueError):
+            scan(top, top + 1)
 
     @pytest.mark.parametrize(
         "func, args",

@@ -351,6 +351,17 @@ class TestClosedForms:
         assert closed_form_restricted(6, 1) == pytest.approx(0.6030056647916492, abs=1e-12)
         assert closed_form_restricted(11, 2) == pytest.approx(6 / 11, abs=1e-12)
 
+    def test_scalar_forms_are_python_floats_of_the_textbook_expressions(self):
+        # Rendered output depends on these being the same doubles as plain math.sqrt arithmetic.
+        for d in [*range(1, 300), 1024, 2005, 10**6 + 7, 2**53 + 1, 10**20]:
+            full = closed_form_full(d)
+            assert type(full) is float and full == 0.5 * (1.0 + 1.0 / math.sqrt(d)), d
+            for r in {0, d // 3, d - 1}:
+                m = d - r
+                restricted = closed_form_restricted(d, r)
+                assert type(restricted) is float
+                assert restricted == (m / (2.0 * d)) * (1.0 + 1.0 / math.sqrt(m)), (d, r)
+
     def test_rejects_r_at_least_d(self):
         with pytest.raises(ValueError):
             closed_form_restricted(4, 4)

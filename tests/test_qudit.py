@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,3 +209,20 @@ class TestBornDistribution:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             qudit.born_distribution(random_state(3), qudit.computational_basis(4))
+
+    def test_matches_conjugated_basis_product(self):
+        for dim in range(1, 65):
+            state, basis = random_state(dim), qudit.fourier_basis(dim)
+            want = np.abs(basis.conj() @ state) ** 2
+            np.testing.assert_allclose(qudit.born_distribution(state, basis), want, rtol=0, atol=1e-15)
+
+    def test_makes_no_copy_of_the_basis(self):
+        """A conjugated copy of the 1024 x 1024 basis would take 16.8 MB."""
+        state, basis = qudit.anchor_state(1024), qudit.fourier_basis(1024)
+        tracemalloc.start()
+        try:
+            qudit.born_distribution(state, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
