@@ -24,7 +24,7 @@ import numpy as np
 from .classical import _two_dit_value, closed_form_classical
 from .quantum import ProtocolSpec, _restricted_value, exact_success
 from .quantum import closed_form_full, closed_form_restricted
-from .report import check_int
+from .report import FLOAT_MAX, check_int
 
 #: Largest d for which scan() cross-checks the closed form by enumeration.
 VERIFY_DMAX = 64
@@ -58,7 +58,7 @@ def restricted_exact_value(d: int, r: int) -> Fraction | None:
 
 def advantage_holds(d: int, r: int) -> bool:
     """True when encoding into dimension d - r strictly beats the classical code."""
-    d = check_int(d, "alphabet size d", 1)
+    d = check_int(d, "alphabet size d", 1, FLOAT_MAX)
     r = check_int(r, "dimensional advantage r", 0, d - 1)
     holds = d > r * r + 3 * r + 1
 
@@ -89,7 +89,7 @@ def _band(first: int, d_max: int) -> tuple[int, int]:
 
 def r_max(d: int) -> int:
     """Largest r with a strict advantage; 0 when no restricted encoding helps."""
-    d = check_int(d, "alphabet size d", 2)
+    d = check_int(d, "alphabet size d", 2, FLOAT_MAX)
     return _band(d, d)[0]
 
 

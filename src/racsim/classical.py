@@ -25,10 +25,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .report import SuccessReport, check_int, check_weight
+from .report import FLOAT_MAX, SuccessReport, check_int, check_weight
 
 #: Column-multiset budget below which the oracle runs without an override.
 #: Covers (n=2, d<=6) at ~4.5M, (n=3, d<=4) at ~766k and (n<=5, d=3) at ~2.4M.
@@ -42,15 +43,20 @@ _BLOCK_CELLS = 1 << 22
 #: Table lines the text writer and parser format or split at once.
 _TEXT_ROWS = 1 << 12
 
+#: Bits above which the oracle's multiset count is not formed: math.comb takes
+#: 2 s at (n=2, d=10^5), minutes at d=10^6, and overflows past d = 2^63 - 1.
+_EXACT_BITS = 1 << 19
+
 
 class InfeasibleSearchError(ValueError):
-    """Raised when an exhaustive search would exceed its multiset budget."""
+    """Raised when an exhaustive search would exceed its multiset budget.  ``required`` is the
+    multiset count, or None when it may exceed ``_EXACT_BITS``; ``log10`` is its rounded log10."""
 
-    def __init__(self, required: int, budget: int):
+    def __init__(self, required: int | None, budget: int, log10: int):
         self.required = required
         self.budget = budget
         # Python refuses to write an int of over 4,300 digits in decimal.
-        size = str(required) if math.log10(required) < 4000 else f"about 10^{math.log10(required):.0f}"
+        size = str(required) if log10 < 4000 else f"about 10^{log10}"
         super().__init__(
             f"exhaustive search needs {size} column multisets, above the budget "
             f"of {budget}; pass allow_large=True to run it anyway"
@@ -174,10 +180,20 @@ def _two_dit_value(d):
 def closed_form_classical(n: int, d: int) -> float:
     """Optimal classical average success for n = 2 or n = 3."""
     n = check_int(n, "string length n of a known closed form", 2, 3)
-    d = check_int(d, "alphabet size d", 2)
+    d = check_int(d, "alphabet size d", 2, FLOAT_MAX)
     if n == 2:
         return _two_dit_value(d)
-    return (1.0 + 3.0 / d - 1.0 / d**2) / 3.0
+    return (1.0 + 3.0 / d - 1 / d**2) / 3.0  # int / int: 0.0, not OverflowError, past d ~ 1e154
+
+
+def _log10_multisets(count: int, d: int) -> int:
+    """log10 C(count + d - 1, d), rounded, by Stirling's series taken per dit: with r = d / count,
+    ln C = d (ln(1 + r) / r + ln(1 + 1/r)) - ln(2 pi d (1 + r)) / 2 + O(1/d).  No float overflows,
+    and nothing cancels as in lgamma(count + d) - lgamma(count)."""
+    r = d / count
+    per_dit = (math.log1p(r) / r if r else 1.0) + math.log(count + d) - math.log(d)
+    rest = (math.log1p(r) + math.log(2 * math.pi) + math.log(d)) / 2
+    return round((d * Fraction(per_dit) - Fraction(rest)) / Fraction(math.log(10)))
 
 
 def optimal_classical_bruteforce(
@@ -200,9 +216,13 @@ def optimal_classical_bruteforce(
         raise ValueError(f"allow_large must be a bool, got {allow_large!r}")
     n, d = task.n, task.d
     count = task.input_count
-    required = math.comb(count + d - 1, d)
-    if required > max_tuples and not allow_large:
-        raise InfeasibleSearchError(required, max_tuples)
+    # C(count + d - 1, d) < (count + d)^d, so its bits are below d * (count + d).bit_length().
+    required = math.comb(count + d - 1, d) if d * (count + d).bit_length() <= _EXACT_BITS else None
+    if required is None or (required > max_tuples and not allow_large):
+        log10 = _log10_multisets(count, d) if required is None else round(math.log10(required))
+        if required is None and allow_large:
+            raise ValueError(f"exhaustive search needs about 10^{log10} column multisets, too many to search")
+        raise InfeasibleSearchError(required, max_tuples, log10)
     cols = all_inputs(n, d)
     level = cols.max(axis=0)
 

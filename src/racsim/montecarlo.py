@@ -12,14 +12,12 @@ strategy draws nothing more and looks its answer up in its tables.  That
 order, with the chunk size, is random stream ``STREAM_VERSION``.  Memory is
 set by the chunk, not by the trial count.
 
-Outcome sampling inverts the cumulative Born distribution of the trial's
-(input, question) cell, built from the anchor's Born distributions that exact
-evaluation reads; no state collapse is simulated.  Each call lays the 2·d′
-cumulative rows out in one flat table, each row padded to a power of two, and
-finds every trial's outcome by a binary search over its row: ⌈log₂ d′⌉ steps
-on trial-length arrays.  The search finds the outcome a comparison against the
-whole row would, so the stream is unchanged.  Beside that one table, memory is
-set by the chunk, whatever d′ is.
+Outcome sampling binary-searches the anchor's cumulative Born row, the one
+O(d′) vector exact evaluation reads for both questions, and moves the outcome
+by the trial's power mod d′, as Shift^a Clock^b rolls the two distributions by
+a and b; no state collapse is simulated.  That is stream 3.  Stream 2 searched
+a row per (question, power), already rolled, so its seeds now give other
+quantum estimates.
 """
 
 from __future__ import annotations
@@ -31,12 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import DeterministicStrategy
-from .quantum import ProtocolSpec, _born_table, _check_spec, _guess_rule, _powers
+from .quantum import ProtocolSpec, _anchor_born, _check_spec, _guess_rule, _powers
 from .report import check_int
 
 #: Version of the seeded variate stream; it changes whenever a seed would
-#: produce different trials.  Version 2 draws in chunks of ``_CHUNK`` trials.
-STREAM_VERSION = 2
+#: produce different trials.  Version 3 draws in chunks of ``_CHUNK`` trials.
+STREAM_VERSION = 3
 
 _CHUNK = 1 << 17
 
@@ -66,31 +64,19 @@ def _play(protocol, config: TrialConfig) -> Iterator[tuple[np.ndarray, np.ndarra
     """Inputs, questions and answers of each chunk of at most ``_CHUNK`` trials."""
     if isinstance(protocol, ProtocolSpec):
         n, d, m = 2, protocol.d, protocol.d_prime
-        # One flat table of cumulative Born rows [y-1, power], each padded with
-        # 2.0 (above every uniform) to ``width``, the smallest power of two >= m.
-        # The last real entry is forced to 1.0, so cumulative rounding cannot
-        # push a uniform past the last outcome.
-        width = 1 << (m - 1).bit_length()
-        cdfs = np.full((2, m, width), 2.0)
-        np.cumsum(_born_table(protocol), axis=-1, out=cdfs[..., :m])
-        cdfs[..., m - 1] = 1.0
-        cdfs = cdfs.ravel()
+        # Forced to 1.0 at the end, so rounding cannot push a uniform past the last outcome.
+        cdf = np.cumsum(_anchor_born(m))
+        cdf[-1] = 1.0
         guess_set = _guess_rule(protocol)[0]
 
         def answer(rng, inputs, y):
             u_outcome = rng.random(len(y))
             u_guess = rng.random(len(y))
             a, b = _powers(protocol, inputs[:, 0], inputs[:, 1])
-            # The outcome is the number of row entries <= u.  They form a prefix
-            # of the row (cumulative sums never decrease; the forced 1.0 and the
-            # padding exceed u), so a branchless binary search counts them.
-            row = ((y - 1) * m + np.where(y == 1, a, b)) * width
-            end = row.copy()
-            step = width >> 1
-            while step:
-                end += step * (cdfs[end + (step - 1)] <= u_outcome)
-                step >>= 1
-            outcome = end - row
+            # The anchor's outcome counts the row entries <= u; the power moves
+            # it, and as both terms are below m one subtraction reduces it mod m.
+            outcome = np.searchsorted(cdf, u_outcome, side="right") + np.where(y == 1, a, b)
+            outcome -= m * (outcome >= m)
             guess_idx = np.minimum((u_guess * len(guess_set)).astype(np.int64), len(guess_set) - 1)
             return np.where(outcome == 0, guess_set[guess_idx], outcome)
 

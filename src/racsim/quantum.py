@@ -13,9 +13,9 @@ distinguish from 0.
 
 Every encoded state is Shift^a Clock^b on the anchor, so each measurement
 sees the anchor's Born distribution in its decoding basis rolled by one
-power.  Exact success probabilities read every (input, question) cell of the
-game straight from the anchor's two distributions, and are also available in
-closed form.
+power; the Fourier basis swaps the anchor's two terms, so in both bases that
+is |anchor|^2.  Exact success probabilities read every (input, question) cell
+of the game straight from it, and are also available in closed form.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qudit
-from .report import SuccessReport, check_int, check_weight
+from .report import FLOAT_MAX, SuccessReport, check_int, check_weight
 
 
 class GatingVariant(enum.Enum):
@@ -154,21 +154,9 @@ def guess_from_outcome(outcome: int, spec: ProtocolSpec) -> GuessDistribution:
 
 
 def _anchor_born(m: int) -> np.ndarray:
-    """Born distributions B[y-1, l] of outcome l when the anchor is measured for question y."""
-    anchor = qudit.anchor_state(m)
-    # The computational basis is the identity, so its distribution is |anchor|^2.
-    return np.stack([np.abs(anchor) ** 2, qudit.born_distribution(anchor, decoding_basis(m, 2))])
-
-
-def _born_table(spec: ProtocolSpec) -> np.ndarray:
-    """Born distributions T[y-1, p, l] of outcome l for question y at power p.
-
-    Shift^a Clock^b rolls the anchor's computational-basis distribution by a
-    and its Fourier-basis distribution by b, leaving the other one alone.
-    """
-    m = spec.d_prime
-    rolls = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m  # [p, l] -> l - p
-    return _anchor_born(m)[:, rolls]
+    """Born distribution |anchor_l|^2 of the anchor in either decoding basis:
+    <f_l|0> = 1/sqrt(m) and <f_l|e_0> = delta_l0, so <f_l|anchor> = <l|anchor>."""
+    return np.abs(qudit.anchor_state(m)) ** 2
 
 
 def _announced(born: np.ndarray, rule, dits, power) -> np.ndarray:
@@ -182,20 +170,21 @@ def answer_distribution(spec: ProtocolSpec, x1: int, x2: int, y: int) -> np.ndar
     check_int(x1, "x1", 0, _check_spec(spec).d - 1)
     check_int(x2, "x2", 0, spec.d - 1)
     power = _powers(spec, x1, x2)[check_int(y, "question index y", 1, 2) - 1]
-    return _announced(_anchor_born(spec.d_prime)[y - 1], _guess_rule(spec), np.arange(spec.d), power)
+    return _announced(_anchor_born(spec.d_prime), _guess_rule(spec), np.arange(spec.d), power)
 
 
 def exact_success(spec: ProtocolSpec) -> SuccessReport:
     """Enumerate the whole game and report exact success probabilities.
 
     Each (input, question) cell reads the probability of announcing its dit
-    from the anchor's Born distribution rolled by its gated power.
+    from the anchor's Born distribution rolled by its gated power.  The output is
+    allocated first, so a game too large for memory fails before any table is built.
     """
-    born, rule = _anchor_born(_check_spec(spec).d_prime), _guess_rule(spec)
+    per_input = np.empty((_check_spec(spec).d, spec.d, 2))
+    born, rule = _anchor_born(spec.d_prime), _guess_rule(spec)
     x1, x2 = np.arange(spec.d)[:, None], np.arange(spec.d)[None, :]
     a, b = _powers(spec, x1, x2)
-    per_input = np.empty((spec.d, spec.d, 2))
-    per_input[..., 0], per_input[..., 1] = _announced(born[0], rule, x1, a), _announced(born[1], rule, x2, b)
+    per_input[..., 0], per_input[..., 1] = _announced(born, rule, x1, a), _announced(born, rule, x2, b)
     return SuccessReport.from_per_input(per_input)
 
 
@@ -203,13 +192,14 @@ def _restricted_value(d, m):
     """(m / (2 d)) (1 + 1/sqrt(m)) at quantum dimension m = d - r, for floats or arrays.
 
     At m = d the first factor is exactly 0.5, so this is also the full closed form.
+    m / d / 2 rounds as m / (2 d) does, where 2 d could overflow.
     """
-    return (m / (2.0 * d)) * (1.0 + 1.0 / np.sqrt(m))
+    return (m / d / 2.0) * (1.0 + 1.0 / np.sqrt(m))
 
 
 def closed_form_full(d: int) -> float:
     """Average success of the full protocol: (1 + 1/sqrt(d)) / 2."""
-    d = float(check_int(d, "alphabet size d", 1))
+    d = float(check_int(d, "alphabet size d", 1, FLOAT_MAX))
     return float(_restricted_value(d, d))
 
 
@@ -219,6 +209,6 @@ def closed_form_restricted(d: int, r: int) -> float:
     Equals ((d - r) / (2 d)) * (1 + 1/sqrt(d - r)); reduces to the full
     closed form at r = 0.
     """
-    d = check_int(d, "alphabet size d", 1)
+    d = check_int(d, "alphabet size d", 1, FLOAT_MAX)
     r = check_int(r, "dimensional advantage r", 0, d - 1)
     return float(_restricted_value(float(d), float(d - r)))

@@ -8,6 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Upper bound for a size the closed forms convert to float; past it they would raise OverflowError.
+FLOAT_MAX = float(np.finfo(float).max)
+
 
 @dataclass(frozen=True, eq=False)
 class SuccessReport:
@@ -35,7 +38,7 @@ class SuccessReport:
         return cls(average=average, worst_case=worst, per_input=per_input)
 
 
-def check_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
+def check_int(value, name: str, low: int | None = None, high: float | None = None) -> int:
     """``value`` as a Python int, after checking it is an integer in low..high.
 
     Python and numpy integers are accepted; ``bool`` and every other type are

@@ -5,7 +5,8 @@ matrices, numpy matrix powers, explicit projectors, and numeric
 normalization, deliberately sharing no code path with the package under
 test.  Values frozen into the test modules were produced by these functions.
 The one exception is the Monte Carlo stream replay, which takes the package's
-Born table as an argument: drawing the same outcomes needs the same floats.
+Born row of the anchor as an argument: drawing the same outcomes needs the
+same floats.
 """
 
 from __future__ import annotations
@@ -148,18 +149,19 @@ def classical_optimum_by_column_multisets(n: int, d: int) -> tuple[Fraction, tup
 
 
 def whole_row_answer_counts(
-    d: int, d_prime: int, variant: str, trials: int, seed: int, born_table: np.ndarray, chunk: int
+    d: int, d_prime: int, variant: str, trials: int, seed: int, anchor_born: np.ndarray, chunk: int
 ) -> np.ndarray:
-    """Answer histogram [x1, x2, y-1, answer] of random stream 2, sampled by whole rows.
+    """Answer histogram [x1, x2, y-1, answer] of random stream 3, sampled by whole rows.
 
     Replays ``default_rng(seed)`` chunk by chunk in the stream's order: the
     (size, 2) inputs, the questions, the outcome uniforms, the guess uniforms.
-    Each outcome counts the entries of its cumulative Born row that are <= its
-    uniform, the row's last entry forced to 1.0.  ``born_table[y-1, power,
-    outcome]`` is the rolled Born table of the sampler under test.
+    Each trial's anchor outcome counts the entries of the anchor's cumulative
+    Born row that are <= its uniform, the row's last entry forced to 1.0; the
+    announced outcome is that plus the asked question's power, mod d_prime.
+    ``anchor_born`` is the anchor's Born row of the sampler under test.
     """
-    cdfs = np.cumsum(born_table, axis=-1)
-    cdfs[..., -1] = 1.0
+    cdf = np.cumsum(anchor_born)
+    cdf[-1] = 1.0
     fallback = np.array([0] + list(range(d_prime, d)))
     counts = np.zeros((d, d, 2, d), dtype=np.int64)
     rng = np.random.default_rng(seed)
@@ -174,7 +176,7 @@ def whole_row_answer_counts(
         if variant == "literal":
             fits1 = fits2 = fits1 & fits2
         power = np.where(y == 1, np.where(fits1, x1, 0), np.where(fits2, x2, 0))
-        outcome = (u_outcome[:, None] >= cdfs[y - 1, power]).sum(axis=1)
+        outcome = ((u_outcome[:, None] >= cdf).sum(axis=1) + power) % d_prime
         guess = fallback[np.minimum((u_guess * len(fallback)).astype(np.int64), len(fallback) - 1)]
         np.add.at(counts, (x1, x2, y - 1, np.where(outcome == 0, guess, outcome)), 1)
     return counts

@@ -1,5 +1,7 @@
 """Advantage condition, staircase, and the ratio remark."""
 
+import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -194,6 +196,35 @@ class TestScan:
     def test_rejects_non_integers(self, func, args):
         with pytest.raises(ValueError):
             func(*args)
+
+
+LARGEST = int(sys.float_info.max)
+
+# (function, arguments after d, value at d = LARGEST)
+FLOAT_SIZED = [
+    pytest.param(closed_form_full, (), 0.5, id="closed_form_full"),
+    pytest.param(closed_form_restricted, (1,), 0.5, id="closed_form_restricted"),
+    pytest.param(lambda d: closed_form_classical(2, d), (), 0.5, id="closed_form_classical-2"),
+    pytest.param(lambda d: closed_form_classical(3, d), (), 1 / 3, id="closed_form_classical-3"),
+    pytest.param(advantage_holds, (10**6,), True, id="advantage_holds"),
+    pytest.param(r_max, (), (math.isqrt(4 * LARGEST + 1) - 3) // 2, id="r_max"),
+]
+
+
+class TestFloatRange:
+    """The closed forms compute in floats, so d stops at the largest float."""
+
+    @pytest.mark.parametrize("func, rest, value", FLOAT_SIZED)
+    def test_beyond_the_largest_float_is_a_value_error(self, func, rest, value):
+        for d in (10**400, LARGEST + 1):
+            limit = r"alphabet size d must be in [12]\.\.1\.7976931348623157e\+308, got"
+            with pytest.raises(ValueError, match=limit):
+                func(d, *rest)
+
+    @pytest.mark.parametrize("func, rest, value", FLOAT_SIZED)
+    def test_the_largest_float_itself_is_accepted(self, func, rest, value):
+        # 2.0 * d would overflow here, and the restricted form would read 0.0
+        assert func(LARGEST, *rest) == value
 
 
 class TestRatioRemark:

@@ -13,6 +13,7 @@ from racsim.classical import (
     ClassicalTask,
     DeterministicStrategy,
     InfeasibleSearchError,
+    _log10_multisets,
     _majority_messages,
     _smallest_decoder_tuple,
     all_inputs,
@@ -250,6 +251,22 @@ class TestOracle:
             optimal_classical_bruteforce(ClassicalTask(20000, 2))
         assert exc.value.required == math.comb(2**20000 + 1, 2)
         assert "column multisets, above the budget" in str(exc.value)
+
+    @pytest.mark.parametrize("d, log10", [(10**5, 543427), (10**19, 194342944819032514000)])
+    def test_budget_error_beyond_the_exact_digits_gives_the_size(self, d, log10):
+        """math.comb takes 2 s at d = 10^5, over a minute at 10^6, and overflows past d = 2^63 - 1."""
+        with pytest.raises(InfeasibleSearchError) as exc:
+            optimal_classical_bruteforce(ClassicalTask(2, d))
+        assert exc.value.required is None
+        assert f"needs about 10^{log10} column multisets, above the budget" in str(exc.value)
+        with pytest.raises(ValueError, match="too many to search") as exc:
+            optimal_classical_bruteforce(ClassicalTask(2, d), allow_large=True)
+        assert type(exc.value) is ValueError
+
+    def test_log10_estimate_matches_the_exact_count(self):
+        for n, d in [(1, 2), (2, 2), (1, 1000), (2, 7), (3, 50), (2, 1000), (5, 3), (20000, 2), (2, 10**4)]:
+            exact = math.log10(math.comb(d**n + d - 1, d))
+            assert abs(_log10_multisets(d**n, d) - exact) <= 0.6, (n, d)
 
     def test_budget_is_checked_before_any_table_is_built(self):
         # (40, 2) has 2^40 columns; refusing it must not allocate them first

@@ -69,6 +69,13 @@ class TestExact:
         assert out == ""
         assert err.splitlines() == ["error: Unable to allocate 7.28 TiB for an array"]
 
+    def test_dimension_past_numpy_limits_is_a_usage_error(self, capsys):
+        # The (d, d, 2) output is refused before the anchor would take sqrt of a 401-digit int.
+        code, out, err = run_cli(capsys, "exact", "--task", "full", "--d", str(10**400))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: Maximum allowed dimension exceeded"]
+
 
 class TestScan:
     def test_csv_staircase(self, capsys):
@@ -143,6 +150,18 @@ class TestOracle:
         code, _, err = run_cli(capsys, "oracle", "--n", "20000", "--d", "2")
         assert code == 3
         assert err.startswith("error: exhaustive search needs about 10^12041 column multisets, above the budget")
+
+    def test_size_past_math_comb_exits_three(self, capsys):
+        # C(10^38 + 10^19 - 1, 10^19): math.comb overflows on k = 10^19 > 2^63 - 1
+        code, out, err = run_cli(capsys, "oracle", "--n", "2", "--d", str(10**19))
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [
+            "error: exhaustive search needs about 10^194342944819032514000 column multisets, above the "
+            "budget of 10000000; pass allow_large=True to run it anyway"
+        ]
+        code, out, err = run_cli(capsys, "oracle", "--n", "2", "--d", str(10**19), "--allow-large")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: exhaustive search needs about 10^")
 
     def test_non_ascii_digit_in_strategy_file_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "table.txt"

@@ -12,7 +12,7 @@ from racsim.montecarlo import _CHUNK, STREAM_VERSION, TrialConfig, answer_counts
 from racsim.quantum import (
     GatingVariant,
     ProtocolSpec,
-    _born_table,
+    _anchor_born,
     answer_distribution,
     closed_form_full,
     closed_form_restricted,
@@ -75,13 +75,13 @@ class TestReproducibility:
         [(3, 1, 20_000), (2, 2, 20_000), (4, 3, 20_000), (6, 5, 2 * _CHUNK + 3), (10, 8, 20_000), (9, 9, 20_000),
          (70, 64, 30_000)],
     )
-    def test_answer_counts_replay_stream_two(self, d, d_prime, trials, variant):
+    def test_answer_counts_replay_stream_three(self, d, d_prime, trials, variant):
         """The sampler draws exactly the outcomes of a whole-row comparison
-        against the cumulative Born rows, the stream-2 reference."""
-        assert STREAM_VERSION == 2
+        against the anchor's cumulative Born row, plus the power: the stream-3 reference."""
+        assert STREAM_VERSION == 3
         spec = ProtocolSpec(d, d_prime, variant)
         seed = 1000 * d + d_prime
-        expected = whole_row_answer_counts(d, d_prime, variant.value, trials, seed, _born_table(spec), _CHUNK)
+        expected = whole_row_answer_counts(d, d_prime, variant.value, trials, seed, _anchor_born(d_prime), _CHUNK)
         np.testing.assert_array_equal(answer_counts(spec, TrialConfig(trials, seed)), expected)
 
 
@@ -129,6 +129,17 @@ class TestEstimates:
         finally:
             tracemalloc.stop()
         assert peak < 100e6
+
+    def test_memory_is_linear_in_quantum_dimension(self):
+        """One O(d') row is all the sampler keeps: at d' = 2^20 a rolled
+        (2, d', d') table would need 16 TiB."""
+        tracemalloc.start()
+        try:
+            simulate(ProtocolSpec.full(2**20), TrialConfig(trials=10**5, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestConvergence:

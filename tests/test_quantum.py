@@ -13,7 +13,6 @@ from racsim.quantum import (
     GuessDistribution,
     ProtocolSpec,
     _anchor_born,
-    _born_table,
     _powers,
     answer_distribution,
     closed_form_full,
@@ -23,6 +22,8 @@ from racsim.quantum import (
     exact_success,
     guess_from_outcome,
 )
+
+from racsim.montecarlo import TrialConfig, answer_counts, simulate
 
 from oracles import dense_answer_distribution, dense_encode, dense_game
 
@@ -232,6 +233,18 @@ class TestExactSuccess:
     def test_boundary_case_ties_classical_value(self):
         assert exact_success(ProtocolSpec(5, 4)).average == pytest.approx(0.6, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [2**40, 10**400])
+    def test_oversized_game_fails_before_any_table(self, d, monkeypatch):
+        """The (d, d, 2) output is allocated first, so numpy refuses it before the anchor is built."""
+        calls = []
+        anchor_state = qudit.anchor_state
+        monkeypatch.setattr(qudit, "anchor_state", lambda dim: calls.append(dim) or anchor_state(dim))
+        with pytest.raises(ValueError):
+            exact_success(ProtocolSpec.full(d))
+        assert calls == []
+        assert exact_success(ProtocolSpec.full(3)).average == pytest.approx(closed_form_full(3), abs=1e-15)
+        assert calls == [3]
+
     def test_literal_gating_value_and_ordering(self):
         report = exact_success(ProtocolSpec(6, 5, GatingVariant.BOTH_OR_NOTHING))
         assert report.average == pytest.approx(LITERAL_6_5_AVERAGE, abs=1e-12)
@@ -287,16 +300,22 @@ class TestExactSuccess:
                     )
 
 
+def rolled_born_table(m):
+    """T[p, l]: the anchor's Born distribution rolled by power p, the same in both bases."""
+    rolls = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m  # [p, l] -> l - p
+    return _anchor_born(m)[rolls]
+
+
 def reference_per_input(spec):
     """Answer table and per_input from the rolled Born table @ a guess matrix built from guess_from_outcome."""
     guess = np.zeros((spec.d_prime, spec.d))
     for outcome in range(spec.d_prime):
         for a, p in guess_from_outcome(outcome, spec).support:
             guess[outcome, a] += p
-    answers = _born_table(spec) @ guess  # [y-1, power, answer]
+    answers = rolled_born_table(spec.d_prime) @ guess  # [power, answer], either question
     x1, x2 = np.meshgrid(np.arange(spec.d), np.arange(spec.d), indexing="ij")
     a, b = _powers(spec, x1, x2)
-    return answers, np.stack([answers[0, a, x1], answers[1, b, x2]], axis=-1)
+    return answers, np.stack([answers[a, x1], answers[b, x2]], axis=-1)
 
 
 class TestBitIdentity:
@@ -313,16 +332,33 @@ class TestBitIdentity:
                 for x1, x2 in [*((p, p) for p in range(m)), (d - 1, 0), (0, d - 1), (d - 1, d - 1)]:
                     a, b = _powers(spec, x1, x2)
                     for y, power in ((1, a), (2, b)):
-                        np.testing.assert_array_equal(
-                            answer_distribution(spec, x1, x2, y), answers[y - 1, power]
-                        )
+                        np.testing.assert_array_equal(answer_distribution(spec, x1, x2, y), answers[power])
 
     def test_anchor_computational_distribution_matches_identity_measurement(self):
         """|anchor|^2 is, bit for bit, the Born rule in the identity basis it replaced."""
         for m in [*range(1, 300), 512, 1024]:
             anchor = qudit.anchor_state(m)
             expected = qudit.born_distribution(anchor, qudit.computational_basis(m))
-            np.testing.assert_array_equal(_anchor_born(m)[0], expected)
+            np.testing.assert_array_equal(_anchor_born(m), expected)
+
+    def test_anchor_fourier_distribution_equals_computational_one(self):
+        """The Fourier basis swaps |0> and the uniform vector, so the anchor's two distributions agree."""
+        for m in [*range(1, 301), 512, 1024, 2048]:
+            anchor = qudit.anchor_state(m)
+            for basis in (qudit.fourier_basis(m), qudit.computational_basis(m)):
+                expected = qudit.born_distribution(anchor, basis)
+                np.testing.assert_allclose(_anchor_born(m), expected, rtol=0, atol=1e-14)
+
+    def test_hot_paths_build_no_fourier_basis(self, monkeypatch):
+        def refuse(dim):
+            raise AssertionError("dense Fourier basis built")
+
+        monkeypatch.setattr(qudit, "fourier_basis", refuse)
+        spec = ProtocolSpec(6, 5)
+        assert exact_success(spec).average == pytest.approx(closed_form_restricted(6, 1), abs=1e-12)
+        assert answer_distribution(spec, 2, 3, 2).sum() == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 < simulate(spec, TrialConfig(1000, 0)).mean < 1.0
+        assert answer_counts(spec, TrialConfig(1000, 0)).sum() == 1000
 
     def test_peak_memory_at_d_1024(self):
         d = 1024
