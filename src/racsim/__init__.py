@@ -30,7 +30,6 @@ from .quantum import (
     answer_distribution,
     closed_form_full,
     closed_form_restricted,
-    decoding_basis,
     encode_restricted,
     exact_success,
     guess_from_outcome,
@@ -57,7 +56,6 @@ __all__ = [
     "closed_form_classical",
     "closed_form_full",
     "closed_form_restricted",
-    "decoding_basis",
     "encode_restricted",
     "evaluate_strategy",
     "exact_success",

@@ -74,10 +74,6 @@ class ClassicalTask:
         check_int(self.n, "string length n", 1)
         check_int(self.d, "alphabet size d", 2)
 
-    @property
-    def input_count(self) -> int:
-        return self.d**self.n
-
 
 @dataclass(frozen=True)
 class DeterministicStrategy:
@@ -186,12 +182,13 @@ def closed_form_classical(n: int, d: int) -> float:
     return (1.0 + 3.0 / d - 1 / d**2) / 3.0  # int / int: 0.0, not OverflowError, past d ~ 1e154
 
 
-def _log10_multisets(count: int, d: int) -> int:
-    """log10 C(count + d - 1, d), rounded, by Stirling's series taken per dit: with r = d / count,
-    ln C = d (ln(1 + r) / r + ln(1 + 1/r)) - ln(2 pi d (1 + r)) / 2 + O(1/d).  No float overflows,
-    and nothing cancels as in lgamma(count + d) - lgamma(count)."""
-    r = d / count
-    per_dit = (math.log1p(r) / r if r else 1.0) + math.log(count + d) - math.log(d)
+def _log10_multisets(log_count: float, d: int) -> int:
+    """log10 C(count + d - 1, d), rounded, from ln count, by Stirling's series taken per dit: with
+    r = d / count, ln C = d (ln(1 + r) / r + ln(1 + 1/r)) - ln(2 pi d (1 + r)) / 2 + O(1/d).
+    No float overflows, and nothing cancels as in lgamma(count + d) - lgamma(count)."""
+    t = log_count - math.log(d)  # ln(1/r) >= 0, as count >= d
+    r = math.exp(-t)
+    per_dit = (math.log1p(r) / r if r else 1.0) + t + math.log1p(r)
     rest = (math.log1p(r) + math.log(2 * math.pi) + math.log(d)) / 2
     return round((d * Fraction(per_dit) - Fraction(rest)) / Fraction(math.log(10)))
 
@@ -215,11 +212,12 @@ def optimal_classical_bruteforce(
     if not isinstance(allow_large, bool):
         raise ValueError(f"allow_large must be a bool, got {allow_large!r}")
     n, d = task.n, task.d
-    count = task.input_count
-    # C(count + d - 1, d) < (count + d)^d, so its bits are below d * (count + d).bit_length().
-    required = math.comb(count + d - 1, d) if d * (count + d).bit_length() <= _EXACT_BITS else None
+    # C(count + d - 1, d) < (count + d)^d, so its bits are below d * (count + d).bit_length(), and
+    # count = d^n has over n * (bit_length(d) - 1) bits: past _EXACT_BITS neither is formed.
+    count = d**n if d * (n * (d.bit_length() - 1) + 1) <= _EXACT_BITS else None
+    required = math.comb(count + d - 1, d) if count and d * (count + d).bit_length() <= _EXACT_BITS else None
     if required is None or (required > max_tuples and not allow_large):
-        log10 = _log10_multisets(count, d) if required is None else round(math.log10(required))
+        log10 = _log10_multisets(n * math.log(d), d) if required is None else round(math.log10(required))
         if required is None and allow_large:
             raise ValueError(f"exhaustive search needs about 10^{log10} column multisets, too many to search")
         raise InfeasibleSearchError(required, max_tuples, log10)
@@ -258,7 +256,7 @@ def optimal_classical_bruteforce(
             best_key = _smallest_decoder_tuple(cols, sets, best_key)
 
     witness = _greedy_witness(task, np.reshape(best_key, (n, d)), best_count)
-    optimum = best_count / (n * task.input_count)
+    optimum = best_count / (n * count)
     return OracleResult(optimum=optimum, witness=witness, strategies_examined=required)
 
 

@@ -6,7 +6,7 @@ of the shift and clock operators to the anchor state, and decodes the first
 dit in the computational basis and the second in the Fourier basis.  The
 *restricted* protocol plays the same game with a system of dimension
 ``d_prime <= d``: every quantum object (root of unity, anchor state, both
-decoding bases) is built in dimension ``d_prime``, operator powers are gated
+decoding bases) lives in dimension ``d_prime``, operator powers are gated
 on the dit being representable, and a computational/Fourier outcome of 0
 triggers a uniformly random guess over the alphabet values the encoder cannot
 distinguish from 0.
@@ -113,13 +113,6 @@ def encode_restricted(spec: ProtocolSpec, x1: int, x2: int) -> np.ndarray:
     a, b = _powers(spec, x1, x2)
     state = qudit.apply_clock(qudit.anchor_state(spec.d_prime), int(b))
     return qudit.apply_shift(state, int(a))
-
-
-def decoding_basis(d_prime: int, y: int) -> np.ndarray:
-    """Measurement basis for question y: computational for y=1, Fourier for y=2."""
-    if check_int(y, "question index y", 1, 2) == 1:
-        return qudit.computational_basis(d_prime)
-    return qudit.fourier_basis(d_prime)
 
 
 def _check_spec(spec) -> ProtocolSpec:

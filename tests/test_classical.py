@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import time
 from collections import Counter
 from dataclasses import asdict
 
@@ -263,10 +264,19 @@ class TestOracle:
             optimal_classical_bruteforce(ClassicalTask(2, d), allow_large=True)
         assert type(exc.value) is ValueError
 
+    def test_huge_n_is_refused_without_forming_d_to_the_n(self):
+        """3^(10^9) would take minutes to form; its size comes from n ln d."""
+        start = time.perf_counter()
+        with pytest.raises(InfeasibleSearchError) as exc:
+            optimal_classical_bruteforce(ClassicalTask(10**9, 3))
+        assert time.perf_counter() - start < 0.5
+        assert exc.value.required is None
+        assert "needs about 10^1431363763 column multisets, above the budget" in str(exc.value)
+
     def test_log10_estimate_matches_the_exact_count(self):
         for n, d in [(1, 2), (2, 2), (1, 1000), (2, 7), (3, 50), (2, 1000), (5, 3), (20000, 2), (2, 10**4)]:
             exact = math.log10(math.comb(d**n + d - 1, d))
-            assert abs(_log10_multisets(d**n, d) - exact) <= 0.6, (n, d)
+            assert abs(_log10_multisets(n * math.log(d), d) - exact) <= 0.6, (n, d)
 
     def test_budget_is_checked_before_any_table_is_built(self):
         # (40, 2) has 2^40 columns; refusing it must not allocate them first

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -72,6 +73,13 @@ class TestExact:
     def test_dimension_past_numpy_limits_is_a_usage_error(self, capsys):
         # The (d, d, 2) output is refused before the anchor would take sqrt of a 401-digit int.
         code, out, err = run_cli(capsys, "exact", "--task", "full", "--d", str(10**400))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: Maximum allowed dimension exceeded"]
+
+    def test_simulated_dimension_past_numpy_limits_is_a_usage_error(self, capsys):
+        # The anchor is allocated before it would take sqrt of a 401-digit int.
+        code, out, err = run_cli(capsys, "simulate", "--task", "full", "--d", str(10**400))
         assert code == 2
         assert out == ""
         assert err.splitlines() == ["error: Maximum allowed dimension exceeded"]
@@ -162,6 +170,17 @@ class TestOracle:
         code, out, err = run_cli(capsys, "oracle", "--n", "2", "--d", str(10**19), "--allow-large")
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: exhaustive search needs about 10^")
+
+    def test_huge_n_exits_three_at_once(self, capsys):
+        # 3^30000000 is never formed: that alone takes tens of seconds.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "oracle", "--n", "30000000", "--d", "3")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [
+            "error: exhaustive search needs about 10^42940912 column multisets, above the "
+            "budget of 10000000; pass allow_large=True to run it anyway"
+        ]
 
     def test_non_ascii_digit_in_strategy_file_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "table.txt"

@@ -17,7 +17,6 @@ from racsim.quantum import (
     answer_distribution,
     closed_form_full,
     closed_form_restricted,
-    decoding_basis,
     encode_restricted,
     exact_success,
     guess_from_outcome,
@@ -135,24 +134,6 @@ class TestEncodeRestricted:
             spec = ProtocolSpec(d, m, variant)
             state = encode_restricted(spec, int(RNG.integers(0, d)), int(RNG.integers(0, d)))
             assert qudit.is_unit_norm(state)
-
-
-class TestDecodingBasis:
-    def test_first_question_is_computational(self):
-        np.testing.assert_allclose(decoding_basis(5, 1), np.eye(5), atol=1e-15)
-
-    def test_second_question_is_fourier(self):
-        np.testing.assert_allclose(decoding_basis(5, 2), qudit.fourier_basis(5), atol=1e-15)
-
-    def test_qubit_fourier_is_the_x_eigenbasis(self):
-        basis = decoding_basis(2, 2)
-        np.testing.assert_allclose(basis[0], [1, 1] / np.sqrt(2), atol=1e-15)
-        np.testing.assert_allclose(basis[1], [1, -1] / np.sqrt(2), atol=1e-15)
-
-    @pytest.mark.parametrize("y", [0, 3, -1])
-    def test_rejects_bad_question(self, y):
-        with pytest.raises(ValueError):
-            decoding_basis(5, y)
 
 
 class TestGuessFromOutcome:
@@ -424,3 +405,19 @@ class TestClosedForms:
 def test_rejects_non_spec(call):
     with pytest.raises(TypeError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda spec: qudit.root_of_unity(spec.d), id="root_of_unity"),
+        pytest.param(lambda spec: qudit.anchor_state(spec.d_prime), id="anchor_state"),
+        pytest.param(lambda spec: encode_restricted(spec, 0, 0), id="encode_restricted"),
+        pytest.param(lambda spec: answer_distribution(spec, 0, 0, 1), id="answer_distribution"),
+        pytest.param(lambda spec: simulate(spec, TrialConfig(10, 0)), id="simulate"),
+    ],
+)
+def test_dimension_past_numpy_limits_is_a_value_error(call):
+    """A 401-digit dimension is refused with ValueError, not numpy's TypeError or an OverflowError."""
+    with pytest.raises(ValueError):
+        call(ProtocolSpec.full(10**400))
