@@ -40,7 +40,7 @@ DEFAULT_TUPLE_BUDGET = 10_000_000
 #: is up to count**2 cells.
 _BLOCK_CELLS = 1 << 22
 
-#: Table lines the text writer and parser format or split at once.
+#: Encoder lines the text writer formats at once.
 _TEXT_ROWS = 1 << 12
 
 #: Bits above which the oracle's multiset count is not formed: math.comb takes
@@ -334,44 +334,33 @@ def strategy_from_text(text: str) -> DeterministicStrategy:
     Lines may come in any order within a block, but each input string and
     each message of a block must appear exactly once.
     """
-    # int() would also read '1_0' and non-ASCII digits, such as Arabic-Indic ones.
-    if not text.isascii() or "_" in text:
-        bad = next(c for c in text if c == "_" or not c.isascii())
+    # int() would also read '1_0' and non-ASCII digits, and older numpy readers '1.0' as 1.
+    allowed = "0123456789+- \t\n\r\x0b\x0c"
+    if not text.isascii() or text.encode().translate(None, allowed.encode()):
+        bad = next(c for c in text if c not in allowed)
         raise ValueError(f"strategy table tokens must be ASCII decimal integers, got {bad!r}")
     lines = [line for line in text.splitlines() if line.strip()]
-    header = lines[0].split() if lines else []
-    if len(header) != 2:
+    if not lines or len(lines[0].split()) != 2:
         raise ValueError("strategy table must start with a header line 'n d'")
-    n, d = (int(v) for v in header)
+    n, d = map(int, lines[0].split())
     ClassicalTask(n=n, d=d)  # rejects n < 1 and d < 2
     # Once n and d are below the line count, d^n is small enough to compute.
     if max(n, d) >= len(lines) or 1 + d**n + n * d != len(lines):
         raise ValueError(f"strategy table for n={n}, d={d} needs 1 + d^n + n*d lines, got {len(lines)}")
 
-    encoder = _keyed_values(lines[1 : -n * d], n, d, "encoder")
-    decoders = [
-        _keyed_values(lines[start : start + d], 1, d, f"question {y} decoder")
-        for y, start in enumerate(range(len(lines) - n * d, len(lines), d), start=1)
-    ]
+    top = len(lines) - n * d  # the first decoder line
+    encoder = _keyed_values(lines[1:top], n, d, "encoder")
+    blocks = enumerate(range(top, len(lines), d), start=1)
+    decoders = [_keyed_values(lines[i : i + d], 1, d, f"question {y} decoder") for y, i in blocks]
     return DeterministicStrategy(n=n, d=d, encoder=encoder, decoders=decoders)
 
 
 def _keyed_values(lines: list[str], k: int, d: int, what: str) -> np.ndarray:
-    """Values of the lines ``key_1 ... key_k value``, in lexicographic key order.
-
-    Every key of k dits must appear on exactly one line.  Lines are split a
-    chunk at a time, so no list holds every line's tokens.
-    """
-    rows = np.empty((len(lines), k + 1), dtype=np.int64)
-    for top in range(0, len(lines), _TEXT_ROWS):
-        chunk = [line.split() for line in lines[top : top + _TEXT_ROWS]]
-        if set(map(len, chunk)) != {k + 1}:
-            bad = next(row for row in chunk if len(row) != k + 1)
-            raise ValueError(f"{what} lines must hold {k + 1} integers, got {' '.join(bad)!r}")
-        try:
-            rows[top : top + len(chunk)] = np.array(chunk, dtype=np.int64)
-        except OverflowError as exc:
-            raise ValueError(f"table entries must lie in the int64 range: {exc}") from exc
+    """Values of the lines ``key_1 ... key_k value`` in key order; each key of k dits must appear once."""
+    # numpy's reader rejects ragged lines, non-integer tokens and values beyond int64 with ValueError.
+    rows = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+    if rows.shape[1] != k + 1:
+        raise ValueError(f"{what} lines must hold {k + 1} integers, got {rows.shape[1]}")
     keys = rows[:, :k]
     if keys.min() < 0 or keys.max() >= d:
         raise ValueError(f"{what} keys must lie in 0..{d - 1}")

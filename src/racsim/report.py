@@ -48,9 +48,15 @@ def check_int(value, name: str, low: int | None = None, high: float | None = Non
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if (low is not None and value < low) or (high is not None and value > high):
-        bounds = f"at least {low}" if high is None else f"in {low}..{high}"
-        raise ValueError(f"{name} must be {bounds}, got {value}")
+        bounds = f"at least {_shown(low)}" if high is None else f"in {_shown(low)}..{_shown(high)}"
+        raise ValueError(f"{name} must be {bounds}, got {_shown(value)}")
     return int(value)
+
+
+def _shown(v) -> str:
+    """``v`` as str() writes it, or its size past 10,000 bits: Python writes no int of over 4,300 digits."""
+    big = isinstance(v, int) and v.bit_length() > 10_000
+    return f"{'a negative' if v < 0 else 'an'} integer of {v.bit_length()} bits" if big else str(v)
 
 
 def check_weight(w, name: str) -> None:

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict
 
@@ -455,6 +456,13 @@ def edited_table(index: int, line: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def widened_table(first: int, last: int) -> str:
+    """The send-first-bit table text with a token ``0`` added to lines ``first..last``."""
+    lines = strategy_to_text(send_first_bit()).splitlines()
+    lines[first : last + 1] = [f"{line} 0" for line in lines[first : last + 1]]
+    return "\n".join(lines) + "\n"
+
+
 class TestStrategyTextFormat:
     def test_round_trip(self):
         for n, d in [(2, 2), (2, 4), (3, 3)]:
@@ -544,6 +552,14 @@ class TestStrategyTextFormat:
             pytest.param(edited_table(1, "0 0 -1"), id="negative-encoder-message"),
             pytest.param(edited_table(6, "1 2"), id="answer-too-large"),
             pytest.param(edited_table(7, "0 -1"), id="negative-answer"),
+            pytest.param(edited_table(1, "0 0 1e0"), id="exponent-message"),
+            pytest.param(edited_table(1, "0 0x1 0"), id="hexadecimal-dit"),
+            pytest.param(edited_table(6, "1 +-1"), id="two-signs-answer"),
+            pytest.param(edited_table(1, "0 0 1.5"), id="fractional-message"),
+            pytest.param(edited_table(1, "0 0 0 # note"), id="comment-after-encoder-line"),
+            # A uniform width, so only the count of k + 1 values per line rejects these.
+            pytest.param(widened_table(1, 4), id="every-encoder-line-long"),
+            pytest.param(widened_table(5, 8), id="every-decoder-line-three-tokens"),
         ],
     )
     def test_rejects_malformed_table(self, text):
@@ -555,6 +571,20 @@ class TestStrategyTextFormat:
         # int() reads both ('1_0' as 10, '\u0661' as 1)
         with pytest.raises(ValueError, match="ASCII decimal integers"):
             strategy_from_text(edited_table(6, f"1 {token}"))
+
+    def test_parse_memory_at_benchmark_size(self):
+        """The (3,48) majority table, 1.2 MB of text, parsed with a traced peak under 20 MB;
+        reading every token into one list peaked at 43 MB."""
+        strategy = majority_identity_strategy(ClassicalTask(3, 48))
+        text = strategy_to_text(strategy)
+        tracemalloc.start()
+        try:
+            parsed = strategy_from_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == strategy
+        assert peak < 20e6
 
     def test_rejects_duplicate_input_line(self):
         text = strategy_to_text(send_first_bit())
