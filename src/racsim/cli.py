@@ -27,7 +27,7 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -162,6 +162,11 @@ def cmd_scan(args: argparse.Namespace) -> Report:
 # ---------------------------------------------------------------- oracle ---
 
 
+def _strategy_fields(strategy: classical.DeterministicStrategy) -> dict:
+    """A strategy's fields for JSON; shallow, as ``asdict`` would copy every table entry."""
+    return {"n": strategy.n, "d": strategy.d, "encoder": strategy.encoder, "decoders": strategy.decoders}
+
+
 def cmd_oracle(args: argparse.Namespace) -> Report:
     if args.evaluate is not None:
         with open(args.evaluate) as handle:
@@ -173,7 +178,7 @@ def cmd_oracle(args: argparse.Namespace) -> Report:
             {"evaluate": args.evaluate, "n": task.n, "d": task.d},
             sources={"average": "enumerated", "worst_case": "enumerated"},
             fields={"average": report.average, "worst_case": report.worst_case,
-                    "strategy": lambda: asdict(strategy)},
+                    "strategy": lambda: _strategy_fields(strategy)},
             text_keys=("n", "d", "average", "worst_case"),
         )
 
@@ -193,7 +198,7 @@ def cmd_oracle(args: argparse.Namespace) -> Report:
             "optimum": result.optimum,
             "closed_form": classical.closed_form_classical(args.n, args.d) if args.n in (2, 3) else None,
             "strategies_examined": result.strategies_examined,
-            "witness": lambda: asdict(result.witness),
+            "witness": lambda: _strategy_fields(result.witness),
         },
         text_keys=("n", "d", "optimum", "strategies_examined", "closed_form"),
         table=lambda: ["witness:", *classical.strategy_to_text(result.witness).splitlines()],

@@ -14,13 +14,16 @@ distinguish from 0.
 Every encoded state is Shift^a Clock^b on the anchor, so each measurement
 sees the anchor's Born distribution in its decoding basis rolled by one
 power; the Fourier basis swaps the anchor's two terms, so in both bases that
-is |anchor|^2.  Exact success probabilities read every (input, question) cell
-of the game straight from it, and are also available in closed form.
+is |anchor|^2.  A cell's success depends only on the asked dit and on
+whether its power is gated off, so exact evaluation reads two length-d
+vectors from |anchor|^2, fills the d x d x 2 table from them, and takes the
+average and worst case from the vectors.  The averages also have closed forms.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,16 +172,31 @@ def answer_distribution(spec: ProtocolSpec, x1: int, x2: int, y: int) -> np.ndar
 def exact_success(spec: ProtocolSpec) -> SuccessReport:
     """Enumerate the whole game and report exact success probabilities.
 
-    Each (input, question) cell reads the probability of announcing its dit
-    from the anchor's Born distribution rolled by its gated power.  The output is
-    allocated first, so a game too large for memory fails before any table is built.
+    ``fit[x]`` is the chance of announcing the asked dit x when the other dit
+    fits in ``d_prime``, ``gated[x]`` (literal gating only) when it does not;
+    the (d, d, 2) table is broadcast from them.  The average is their correctly
+    rounded sums weighted by how often the other dit fits, and the worst case
+    the least block sum of their minima: float addition is monotone, so that is
+    the table's least cell bit for bit.  The output is allocated first, so a
+    game too large for memory fails before any table is built.
     """
     per_input = np.empty((_check_spec(spec).d, spec.d, 2))
-    born, rule = _anchor_born(spec.d_prime), _guess_rule(spec)
-    x1, x2 = np.arange(spec.d)[:, None], np.arange(spec.d)[None, :]
-    a, b = _powers(spec, x1, x2)
-    per_input[..., 0], per_input[..., 1] = _announced(born, rule, x1, a), _announced(born, rule, x2, b)
-    return SuccessReport.from_per_input(per_input)
+    d, m = spec.d, spec.d_prime
+    born, rule, dits = _anchor_born(m), _guess_rule(spec), np.arange(d)
+    fit = _announced(born, rule, dits, np.where(dits < m, dits, 0))
+    if spec.variant is GatingVariant.INDEPENDENT or m == d:
+        per_input[..., 0], per_input[..., 1] = fit[:, None], fit
+        # the least cell is min fit + min fit, and halving that is exact
+        return SuccessReport(math.fsum(fit.tolist()) / d, float(fit.min()), per_input)
+    # The fitting dits F are 0..m-1 and the others N are m..d-1; fit and gated agree on N.
+    gated = _announced(born, rule, dits, 0)
+    per_input[:, :m, 0], per_input[:, m:, 0] = fit[:, None], gated[:, None]
+    per_input[:m, :, 1], per_input[m:, :, 1] = fit, gated
+    # Blocks (x1, x2) in FxF, FxN (NxF sums the same), NxN.
+    least_f, least_n = fit[:m].min(), fit[m:].min()
+    worst = min(least_f + least_f, gated[:m].min() + least_n, least_n + least_n) / 2
+    average = (m * math.fsum(fit.tolist()) + (d - m) * math.fsum(gated.tolist())) / (d * d)
+    return SuccessReport(average, float(worst), per_input)
 
 
 def _restricted_value(d, m):

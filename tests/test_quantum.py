@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from racsim.quantum import (
 )
 
 from racsim.montecarlo import TrialConfig, answer_counts, simulate
+from racsim.report import SuccessReport
 
 from oracles import dense_answer_distribution, dense_encode, dense_game
 
@@ -279,6 +281,34 @@ class TestExactSuccess:
                         dense_answer_distribution(d, m, x1, x2, y, variant.value),
                         atol=1e-12,
                     )
+
+
+def all_specs(dmax):
+    return [ProtocolSpec(d, m, v) for d in range(1, dmax + 1) for m in range(1, d + 1) for v in GatingVariant]
+
+
+class TestSeparableEvaluation:
+    """Average and worst case come from two length-d vectors, not from the table they fill."""
+
+    def test_worst_case_is_the_table_minimum_bit_for_bit(self):
+        for spec in all_specs(40):
+            report = exact_success(spec)
+            assert report.worst_case == SuccessReport.from_per_input(report.per_input).worst_case, spec
+
+    def test_average_is_the_table_mean(self):
+        for spec in all_specs(40):
+            report = exact_success(spec)
+            assert abs(report.average - report.per_input.mean()) <= 1e-15, spec
+
+    def test_canonical_average_is_within_rounding_of_the_closed_form(self):
+        """Against (d'/(2d))(1 + 1/sqrt(d')) to 50 digits."""
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for d in range(1, 65):
+                for m in range(1, d + 1):
+                    exact = Decimal(m) / (2 * Decimal(d)) * (1 + 1 / Decimal(m).sqrt())
+                    got = exact_success(ProtocolSpec(d, m)).average
+                    assert abs(Decimal(got) - exact) <= Decimal(4e-16), (d, m)
 
 
 def rolled_born_table(m):
