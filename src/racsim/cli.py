@@ -28,6 +28,7 @@ import os
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from dataclasses import fields as dataclass_fields
 from fractions import Fraction
 
 import numpy as np
@@ -164,7 +165,7 @@ def cmd_scan(args: argparse.Namespace) -> Report:
 
 def _strategy_fields(strategy: classical.DeterministicStrategy) -> dict:
     """A strategy's fields for JSON; shallow, as ``asdict`` would copy every table entry."""
-    return {"n": strategy.n, "d": strategy.d, "encoder": strategy.encoder, "decoders": strategy.decoders}
+    return {f.name: getattr(strategy, f.name) for f in dataclass_fields(strategy)}
 
 
 def cmd_oracle(args: argparse.Namespace) -> Report:

@@ -30,14 +30,18 @@ class SuccessReport:
     @classmethod
     def from_per_input(cls, per_input: np.ndarray) -> "SuccessReport":
         """Report on a table with input and question axes, at least one cell and
-        every entry in [0, 1]; any other table is a ``ValueError``."""
+        every entry in [0, 1]; any other table is a ``ValueError``.
+
+        A boolean table (hit or miss per cell) is in range by its type and is
+        not scanned for it."""
+        hits = getattr(per_input, "dtype", None) == bool
         per_input = np.asarray(per_input, dtype=float)
         if per_input.ndim < 2:
             raise ValueError("per_input needs at least one input axis and a question axis")
         if per_input.size == 0:
             raise ValueError(f"per_input needs at least one cell, got shape {per_input.shape}")
         # NaN fails both comparisons
-        if not (per_input.min() >= 0.0 and per_input.max() <= 1.0):
+        if not (hits or (per_input.min() >= 0.0 and per_input.max() <= 1.0)):
             raise ValueError("per_input entries must be probabilities in [0, 1]")
         average = float(per_input.mean())
         # Question planes added in order: numpy's reduction over a short last axis is slow.

@@ -60,3 +60,12 @@ def test_success_report_refuses_tables_that_are_not_probabilities(per_input, mes
 def test_success_report_accepts_the_closed_interval():
     report = SuccessReport.from_per_input([[0.0, 1.0], [1.0, 1.0]])
     assert (report.average, report.worst_case) == (0.75, 0.5)
+
+
+def test_success_report_reads_a_boolean_table_as_zeros_and_ones():
+    hits = np.array([[False, True], [True, True]])
+    report = SuccessReport.from_per_input(hits)
+    assert (report.average, report.worst_case) == (0.75, 0.5)
+    assert report.per_input.dtype == float
+    with pytest.raises(ValueError, match="at least one cell"):
+        SuccessReport.from_per_input(np.zeros((3, 0), dtype=bool))
