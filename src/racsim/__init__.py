@@ -3,7 +3,6 @@
 from .advantage import (
     AdvantageRow,
     advantage_holds,
-    full_to_classical_ratio,
     r_max,
     ratio_argmax,
     restricted_exact_value,
@@ -59,7 +58,6 @@ __all__ = [
     "encode_restricted",
     "evaluate_strategy",
     "exact_success",
-    "full_to_classical_ratio",
     "guess_from_outcome",
     "majority_identity_strategy",
     "mixture_value",

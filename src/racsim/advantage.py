@@ -22,8 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .classical import _two_dit_value, closed_form_classical
-from .quantum import ProtocolSpec, _restricted_value, exact_success
-from .quantum import closed_form_full, closed_form_restricted
+from .quantum import ProtocolSpec, _restricted_value, closed_form_restricted, exact_success
 from .report import FLOAT_MAX, check_int
 
 #: Largest d for which scan() cross-checks the closed form by enumeration.
@@ -125,13 +124,10 @@ def scan(d_min: int = 2, d_max: int = 50) -> list[AdvantageRow]:
     return rows
 
 
-def full_to_classical_ratio(d: int) -> float:
-    """Success ratio of the full quantum protocol over the classical optimum."""
-    return closed_form_full(d) / closed_form_classical(2, d)
-
-
 def ratio_argmax(d_min: int = 2, d_max: int = 1000) -> int:
-    """Alphabet size maximizing the full-protocol-to-classical success ratio."""
-    check_int(d_min, "d_min", 2)
-    check_int(d_max, "d_max", d_min)
-    return max(range(d_min, d_max + 1), key=full_to_classical_ratio)
+    """Alphabet size maximizing the full-protocol-to-classical success ratio, the
+    smallest on ties.  As in :func:`scan`, d is an int64 array, so d_max is at most 2^63 - 1."""
+    d_min = check_int(d_min, "d_min", 2)
+    d_max = check_int(d_max, "d_max", d_min, np.iinfo(np.int64).max)
+    d = np.arange(d_min, d_max + 1, dtype=np.int64)
+    return d_min + int(np.argmax(_restricted_value(d, d) / _two_dit_value(d)))

@@ -14,9 +14,11 @@ distinguish from 0.
 Every encoded state is Shift^a Clock^b on the anchor, so each measurement
 sees the anchor's Born distribution in its decoding basis rolled by one
 power; the Fourier basis swaps the anchor's two terms, so in both bases that
-is |anchor|^2.  A cell's success depends only on the asked dit and on
-whether its power is gated off, so exact evaluation reads two length-d
-vectors from |anchor|^2, fills the d x d x 2 table from them, and takes the
+is |anchor|^2.  A cell's success depends only on the asked dit x and on
+whether its power is gated off: the chance the guess after x's outcome names
+x, times the top entry b0 of |anchor|^2 (a power rolls b0 onto that outcome)
+or, gated off, times the entry at that outcome.  Exact evaluation reads these
+two length-d vectors, fills the d x d x 2 table from them, and takes the
 average and worst case from the vectors.  The averages also have closed forms.
 """
 
@@ -86,7 +88,7 @@ class GuessDistribution:
         for answer, prob in self.support:
             check_int(answer, "guess answer", 0)
             check_weight(prob, "guess probabilities")
-        total = sum(prob for _, prob in self.support)
+        total = math.fsum(prob for _, prob in self.support)
         if abs(total - 1.0) > qudit.ATOL:
             raise ValueError(f"guess probabilities must sum to 1, got {total}")
 
@@ -155,25 +157,21 @@ def _anchor_born(m: int) -> np.ndarray:
     return np.abs(qudit.anchor_state(m)) ** 2
 
 
-def _announced(born: np.ndarray, rule, dits, power) -> np.ndarray:
-    """Per dit: its outcome's ``born`` entry, rolled by ``power``, times the chance its guess names it."""
-    _, outcome, chance = rule
-    return born[(outcome[dits] - power) % born.size] * chance[dits]
-
-
 def answer_distribution(spec: ProtocolSpec, x1: int, x2: int, y: int) -> np.ndarray:
     """Exact distribution of the announced answer for one (input, question) cell."""
     check_int(x1, "x1", 0, _check_spec(spec).d - 1)
     check_int(x2, "x2", 0, spec.d - 1)
     power = _powers(spec, x1, x2)[check_int(y, "question index y", 1, 2) - 1]
-    return _announced(_anchor_born(spec.d_prime), _guess_rule(spec), np.arange(spec.d), power)
+    _, outcome, chance = _guess_rule(spec)
+    return _anchor_born(spec.d_prime)[(outcome - power) % spec.d_prime] * chance
 
 
 def exact_success(spec: ProtocolSpec) -> SuccessReport:
     """Enumerate the whole game and report exact success probabilities.
 
     ``fit[x]`` is the chance of announcing the asked dit x when the other dit
-    fits in ``d_prime``, ``gated[x]`` (literal gating only) when it does not;
+    fits in ``d_prime`` (b0 times x's guess chance), ``gated[x]`` (literal
+    gating only) when it does not (the entry at x's outcome in b0's place);
     the (d, d, 2) table is broadcast from them.  The average is their correctly
     rounded sums weighted by how often the other dit fits, and the worst case
     the least block sum of their minima: float addition is monotone, so that is
@@ -182,14 +180,15 @@ def exact_success(spec: ProtocolSpec) -> SuccessReport:
     """
     per_input = np.empty((_check_spec(spec).d, spec.d, 2))
     d, m = spec.d, spec.d_prime
-    born, rule, dits = _anchor_born(m), _guess_rule(spec), np.arange(d)
-    fit = _announced(born, rule, dits, np.where(dits < m, dits, 0))
+    born = _anchor_born(m)
+    _, outcome, chance = _guess_rule(spec)
+    fit = born[0] * chance
     if spec.variant is GatingVariant.INDEPENDENT or m == d:
         per_input[..., 0], per_input[..., 1] = fit[:, None], fit
         # the least cell is min fit + min fit, and halving that is exact
         return SuccessReport(math.fsum(fit.tolist()) / d, float(fit.min()), per_input)
     # The fitting dits F are 0..m-1 and the others N are m..d-1; fit and gated agree on N.
-    gated = _announced(born, rule, dits, 0)
+    gated = born[outcome] * chance
     per_input[:, :m, 0], per_input[:, m:, 0] = fit[:, None], gated[:, None]
     per_input[:m, :, 1], per_input[m:, :, 1] = fit, gated
     # Blocks (x1, x2) in FxF, FxN (NxF sums the same), NxN.

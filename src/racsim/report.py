@@ -21,32 +21,12 @@ class SuccessReport:
     enumerate the dit string.  ``average`` is the mean over the uniform
     distribution of inputs and questions.  ``worst_case`` is the success of
     the least favourable input string, averaged over the uniform question.
+    Each evaluator reads the two statistics from its own cells.
     """
 
     average: float
     worst_case: float
     per_input: np.ndarray
-
-    @classmethod
-    def from_per_input(cls, per_input: np.ndarray) -> "SuccessReport":
-        """Report on a table with input and question axes, at least one cell and
-        every entry in [0, 1]; any other table is a ``ValueError``.
-
-        A boolean table (hit or miss per cell) is in range by its type and is
-        not scanned for it."""
-        hits = getattr(per_input, "dtype", None) == bool
-        per_input = np.asarray(per_input, dtype=float)
-        if per_input.ndim < 2:
-            raise ValueError("per_input needs at least one input axis and a question axis")
-        if per_input.size == 0:
-            raise ValueError(f"per_input needs at least one cell, got shape {per_input.shape}")
-        # NaN fails both comparisons
-        if not (hits or (per_input.min() >= 0.0 and per_input.max() <= 1.0)):
-            raise ValueError("per_input entries must be probabilities in [0, 1]")
-        average = float(per_input.mean())
-        # Question planes added in order: numpy's reduction over a short last axis is slow.
-        worst = float(sum(per_input[..., q] for q in range(per_input.shape[-1])).min()) / per_input.shape[-1]
-        return cls(average=average, worst_case=worst, per_input=per_input)
 
 
 def check_int(value, name: str, low: int | None = None, high: float | None = None) -> int:

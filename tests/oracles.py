@@ -102,6 +102,15 @@ def r_max_by_strict_search(d: int) -> int:
     return r
 
 
+def table_statistics(per_input) -> tuple[float, float]:
+    """(average, worst case) of a success table whose last axis is the question:
+    the mean of every cell, and the least per-input sum of the question planes,
+    added in order, over the number of questions."""
+    per_input = np.asarray(per_input, dtype=float)
+    planes = [per_input[..., q] for q in range(per_input.shape[-1])]
+    return float(per_input.mean()), float(sum(planes).min()) / len(planes)
+
+
 def classical_average(n: int, d: int, encoder: dict, decoders: list[dict]) -> float:
     hits = 0
     for x in itertools.product(range(d), repeat=n):

@@ -11,7 +11,6 @@ from oracles import r_max_by_strict_search
 from racsim import advantage
 from racsim.advantage import (
     advantage_holds,
-    full_to_classical_ratio,
     r_max,
     ratio_argmax,
     restricted_exact_value,
@@ -227,15 +226,24 @@ class TestFloatRange:
         assert func(LARGEST, *rest) == value
 
 
+def full_to_classical(d):
+    return closed_form_full(d) / closed_form_classical(2, d)
+
+
 class TestRatioRemark:
     def test_full_to_classical_ratio_peaks_at_six(self):
         assert ratio_argmax(2, 1000) == 6
 
     def test_six_beats_neighbours(self):
-        assert full_to_classical_ratio(6) > full_to_classical_ratio(5)
-        assert full_to_classical_ratio(6) > full_to_classical_ratio(7)
+        assert full_to_classical(6) > full_to_classical(5)
+        assert full_to_classical(6) > full_to_classical(7)
 
-    def test_ratio_value(self):
-        assert full_to_classical_ratio(6) == pytest.approx(
-            closed_form_full(6) / closed_form_classical(2, 6), abs=1e-15
-        )
+    def test_matches_the_closed_forms_first_maximum(self):
+        for d_min in range(2, 12):
+            for d_max in range(d_min, 40):
+                ratios = [full_to_classical(d) for d in range(d_min, d_max + 1)]
+                assert ratio_argmax(d_min, d_max) == d_min + ratios.index(max(ratios)), (d_min, d_max)
+
+    def test_range_past_int64_is_refused_at_once(self):
+        with pytest.raises(ValueError, match="d_max must be in 2..9223372036854775807"):
+            ratio_argmax(2, 10**30)

@@ -28,7 +28,7 @@ from racsim.classical import (
     strategy_to_text,
 )
 
-from oracles import classical_optimum_by_column_multisets, classical_optimum_full_enumeration
+from oracles import classical_optimum_by_column_multisets, classical_optimum_full_enumeration, table_statistics
 
 RNG = np.random.default_rng(7)
 
@@ -64,6 +64,21 @@ class TestEvaluateStrategy:
         report = evaluate_strategy(ClassicalTask(n, d), strategy)
         assert report.average == pytest.approx(1 / d, abs=1e-15)
 
+    def test_counts_match_the_float_table_reduction_bit_for_bit(self):
+        rng = np.random.default_rng(2718)
+        for n in range(1, 6):
+            for d in range(2, 9):
+                if d**n > 40_000:
+                    continue
+                for identity in (False, True):
+                    encoder = rng.integers(0, d, d**n)
+                    decoders = np.tile(np.arange(d), (n, 1)) if identity else rng.integers(0, d, (n, d))
+                    report = evaluate_strategy(ClassicalTask(n, d), DeterministicStrategy(n, d, encoder, decoders))
+                    x = np.indices((d,) * n)
+                    hits = decoders[np.arange(n).reshape((n,) + (1,) * n), encoder.reshape((d,) * n)] == x
+                    np.testing.assert_array_equal(report.per_input, np.moveaxis(hits, 0, -1))
+                    assert (report.average, report.worst_case) == table_statistics(report.per_input), (n, d)
+
     def test_mismatched_tables_rejected(self):
         with pytest.raises(ValueError):
             evaluate_strategy(ClassicalTask(2, 3), send_first_bit())
@@ -73,6 +88,8 @@ class TestEvaluateStrategy:
             DeterministicStrategy(n=2, d=2, encoder=(0, 0, 2, 1), decoders=((0, 1), (0, 1)))
         with pytest.raises(ValueError):
             DeterministicStrategy(n=2, d=2, encoder=(0, 0, 1), decoders=((0, 1), (0, 1)))
+        with pytest.raises(ValueError, match="need 2 decoder tables of 2 entries each"):
+            DeterministicStrategy(n=2, d=2, encoder=(0, 0, 1, 1), decoders=((0, 1),))
 
     @pytest.mark.parametrize(
         "change",
@@ -433,6 +450,12 @@ class TestMixtures:
             mixture_value(task, [(send_first_bit(), True)])
         with pytest.raises(ValueError):
             mixture_value(task, [(send_first_bit(), "1")])
+        with pytest.raises(ValueError, match="weights must sum to 1, got 0.5$"):
+            mixture_value(task, [(send_first_bit(), 0.25), (send_first_bit(), 0.25)])
+
+    def test_empty_mixture_rejected(self):
+        with pytest.raises(ValueError, match="mixture needs at least one strategy"):
+            mixture_value(ClassicalTask(2, 2), [])
 
 
 class TestStrategyBounds:

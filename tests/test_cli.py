@@ -233,6 +233,12 @@ class TestSimulate:
         assert code == 0
         assert "trials: 20000" in out
 
+    def test_majority_task_without_n_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--task", "majority", "--d", "3")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: --n is required for the majority task"]
+
     def test_majority_task_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--task", "majority", "--n", "2", "--d", "6",

@@ -24,9 +24,8 @@ from racsim.quantum import (
 )
 
 from racsim.montecarlo import TrialConfig, answer_counts, simulate
-from racsim.report import SuccessReport
 
-from oracles import dense_answer_distribution, dense_encode, dense_game
+from oracles import dense_answer_distribution, dense_encode, dense_game, table_statistics
 
 RNG = np.random.default_rng(424242)
 
@@ -43,6 +42,10 @@ class TestProtocolSpec:
     def test_rejects_bad_dimensions(self, d, dprime):
         with pytest.raises(ValueError):
             ProtocolSpec(d, dprime)
+
+    def test_rejects_a_variant_given_by_its_name(self):
+        with pytest.raises(ValueError, match="variant must be a GatingVariant, got 'canonical'"):
+            ProtocolSpec(6, 5, "canonical")
 
 
 class TestEncodeFull:
@@ -159,6 +162,16 @@ class TestGuessFromOutcome:
             dist = guess_from_outcome(int(RNG.integers(0, m)), spec)
             assert sum(p for _, p in dist.support) == pytest.approx(1.0, abs=1e-12)
             assert all(0 <= a < d for a, _ in dist.support)
+
+    def test_many_equal_chances_sum_to_one(self):
+        """10^5 chances of 1/10^5 add to 1 - 1.9e-12 in order; their correctly rounded sum is 1."""
+        dist = guess_from_outcome(0, ProtocolSpec(10**5, 1))
+        assert len(dist.support) == 10**5
+        assert math.fsum(p for _, p in dist.support) == 1.0
+
+    def test_guess_distribution_refuses_a_total_of_one_half(self):
+        with pytest.raises(ValueError, match="guess probabilities must sum to 1, got 0.5$"):
+            GuessDistribution(((0, 0.5),))
 
     def test_rejects_outcome_beyond_quantum_dimension(self):
         with pytest.raises(ValueError):
@@ -293,7 +306,7 @@ class TestSeparableEvaluation:
     def test_worst_case_is_the_table_minimum_bit_for_bit(self):
         for spec in all_specs(40):
             report = exact_success(spec)
-            assert report.worst_case == SuccessReport.from_per_input(report.per_input).worst_case, spec
+            assert report.worst_case == table_statistics(report.per_input)[1], spec
 
     def test_average_is_the_table_mean(self):
         for spec in all_specs(40):

@@ -120,6 +120,10 @@ class TestApplyPauli:
         with pytest.raises(ValueError):
             call()
 
+    def test_rejects_an_empty_state(self):
+        with pytest.raises(ValueError, match=r"state must be a nonempty 1-D vector, got shape \(0,\)"):
+            qudit.apply_shift(np.zeros(0), 1)
+
     @pytest.mark.parametrize("dim", range(1, 17))
     def test_shift_has_period_dim(self, dim):
         state = random_state(dim)
@@ -204,6 +208,10 @@ class TestBornDistribution:
     def test_anchor_in_computational_basis(self, dim):
         probs = qudit.born_distribution(qudit.anchor_state(dim), qudit.computational_basis(dim))
         assert probs[0] == pytest.approx(0.5 * (1 + 1 / np.sqrt(dim)), abs=1e-12)
+
+    def test_non_square_basis_rejected(self):
+        with pytest.raises(ValueError, match=r"basis must be a square matrix of row vectors, got shape \(2, 3\)"):
+            qudit.born_distribution(random_state(3), np.eye(2, 3))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):

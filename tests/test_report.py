@@ -1,11 +1,9 @@
 """Argument checks shared by every module."""
 
-import numpy as np
 import pytest
 
 from racsim import ProtocolSpec, TrialConfig, closed_form_full, encode_restricted
 from racsim.qudit import root_of_unity
-from racsim.report import SuccessReport
 
 HUGE = 10**5000  # past the 4,300 digits Python writes an int in
 
@@ -40,32 +38,3 @@ def test_huge_negative_values_keep_their_sign():
     with pytest.raises(ValueError) as exc:
         TrialConfig(1, -HUGE)
     assert str(exc.value) == "seed must be in 0..18446744073709551615, got a negative integer of 16610 bits"
-
-
-@pytest.mark.parametrize(
-    "per_input, message",
-    [
-        pytest.param(np.zeros((2, 0)), "at least one cell", id="no-question"),
-        pytest.param(np.zeros((0, 2)), "at least one cell", id="no-input"),
-        pytest.param([[0.5, float("nan")]], r"in \[0, 1\]", id="nan"),
-        pytest.param([[0.5, 1.5]], r"in \[0, 1\]", id="above-one"),
-        pytest.param([[-0.25, 0.5]], r"in \[0, 1\]", id="negative"),
-    ],
-)
-def test_success_report_refuses_tables_that_are_not_probabilities(per_input, message):
-    with pytest.raises(ValueError, match=message):
-        SuccessReport.from_per_input(per_input)
-
-
-def test_success_report_accepts_the_closed_interval():
-    report = SuccessReport.from_per_input([[0.0, 1.0], [1.0, 1.0]])
-    assert (report.average, report.worst_case) == (0.75, 0.5)
-
-
-def test_success_report_reads_a_boolean_table_as_zeros_and_ones():
-    hits = np.array([[False, True], [True, True]])
-    report = SuccessReport.from_per_input(hits)
-    assert (report.average, report.worst_case) == (0.75, 0.5)
-    assert report.per_input.dtype == float
-    with pytest.raises(ValueError, match="at least one cell"):
-        SuccessReport.from_per_input(np.zeros((3, 0), dtype=bool))
