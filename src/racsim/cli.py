@@ -11,7 +11,10 @@ probabilities are rendered with 7 significant digits in text and CSV (JSON
 carries full double precision), files end every line with LF, and reports
 carry no timestamps.  JSON reports include a provenance block recording the
 tool version, the parameters, and whether each value came from a closed form
-or an enumeration.
+or an enumeration.  They are laid out byte for byte as ``json.dumps(report,
+indent=2)`` lays them out, but written a field at a time: the large tables
+(``exact``'s ``per_input`` and ``scan``'s ``rows``) one row at a time from a
+template of that layout, and every other field by ``json.dumps`` itself.
 
 Exit status: 0 on success, 1 on failed verification (including an internal
 cross-check of enumeration against a closed form), 2 on invalid arguments or a
@@ -48,10 +51,12 @@ class Report:
 
     ``parameters`` and ``sources`` (where each value came from) make up the
     JSON provenance; ``fields`` are the other JSON fields, in order, and a
-    callable field is built only when JSON is rendered.  Text output shows the
-    parameters or fields named by ``text_keys`` as ``key: value`` lines,
-    skipping None, then the lines ``table`` returns.  ``csv`` returns the CSV
-    lines of a command that has a CSV format.  ``status`` is the exit status.
+    callable field is built only when JSON is rendered.  A :class:`_Table`
+    field is written one row at a time (:func:`_json_field`), any other field
+    by ``json.dumps``.  Text output shows the parameters or fields named by
+    ``text_keys`` as ``key: value`` lines, skipping None, then the lines
+    ``table`` returns.  ``csv`` returns the CSV lines of a command that has a
+    CSV format.  ``status`` is the exit status.
     """
 
     command: str
@@ -64,8 +69,58 @@ class Report:
     status: int = 0
 
 
+@dataclass(frozen=True)
+class _Table:
+    """A table field: ``columns`` returns its columns when it is rendered, each
+    a sequence of integers or of float64 values.  In JSON a row is a list, or an
+    object with the members ``keys`` when they are given."""
+
+    columns: Callable[[], list]
+    keys: tuple[str, ...] | None = None
+
+
 def _text(value) -> str:
     return format(value, ".7g") if isinstance(value, float) else str(value)
+
+
+def _column_text(column, float_text: Callable[[float], str]) -> list[str]:
+    """Each entry of ``column`` as ``str`` writes an integer or ``float_text`` a
+    finite float; any other entry is refused.  When most entries repeat, each
+    distinct value is rendered once."""
+    column = np.asarray(column)
+    if column.dtype == np.float64 and np.isfinite(column).all():
+        # distinct bit patterns, so 0.0 and -0.0 stay apart
+        distinct, index = np.unique(column.view(np.int64), return_inverse=True)
+        distinct, render = distinct.view(np.float64), float_text
+    elif column.dtype.kind in "iu":
+        (distinct, index), render = np.unique(column, return_inverse=True), str
+    else:
+        raise ValueError(f"a table column must hold integers or finite floats, got {column.dtype} values")
+    if 2 * len(distinct) > len(column):
+        return list(map(render, column.tolist()))
+    text = list(map(render, distinct.tolist()))
+    return list(map(text.__getitem__, index.tolist()))
+
+
+def _rows(template: str, columns: list, float_text: Callable[[float], str]) -> Iterable[str]:
+    """``template % row`` for each row of ``columns``, every value written as a string by :func:`_column_text`."""
+    return map(template.__mod__, zip(*(_column_text(column, float_text) for column in columns)))
+
+
+_SLOT = "\0"  # a placeholder value: json.dumps writes it as "\u0000", which no key or number contains
+
+
+def _json_field(value) -> str:
+    """``value`` as ``json.dumps(..., indent=2)`` writes it as a member of the top-level object."""
+    if not isinstance(value, _Table):
+        # JSON strings escape every newline, so each raw one starts a line one level deeper.
+        return json.dumps(value, indent=2).replace("\n", "\n  ")
+    columns = value.columns()
+    row = dict.fromkeys(value.keys, _SLOT) if value.keys else [_SLOT] * len(columns)
+    layout = json.dumps(row, indent=2).replace("%", "%%").replace(json.dumps(_SLOT), "%s")
+    # float.__repr__ is how json writes a float; _column_text gives it Python floats only.
+    body = ",\n".join(_rows("    " + layout.replace("\n", "\n    "), columns, float.__repr__))
+    return f"[\n{body}\n  ]" if body else "[]"
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -84,8 +139,9 @@ def _render(report: Report, args: argparse.Namespace) -> None:
     if args.format == "json":
         provenance = {"tool": "racsim", "version": __version__, "command": report.command,
                       "parameters": report.parameters, "values": report.sources}
-        fields = {key: value() if callable(value) else value for key, value in report.fields.items()}
-        text = json.dumps({"provenance": provenance, **fields}, indent=2) + "\n"
+        members = [f"{json.dumps(key)}: {_json_field(value() if callable(value) else value)}"
+                   for key, value in {"provenance": provenance, **report.fields}.items()]
+        text = "{\n  " + ",\n  ".join(members) + "\n}\n"
     elif args.format == "csv":
         text = "\n".join(report.csv()) + "\n"
     else:
@@ -113,10 +169,10 @@ def _build_spec(args: argparse.Namespace) -> tuple[quantum.ProtocolSpec, dict]:
 def cmd_exact(args: argparse.Namespace) -> Report:
     spec, parameters = _build_spec(args)
     report = quantum.exact_success(spec)
-    per_input, d = report.per_input.tolist(), spec.d
 
     def cells():
-        return ((x1, x2, y, per_input[x1][x2][y - 1]) for x1 in range(d) for x2 in range(d) for y in (1, 2))
+        x1, x2, y = np.indices(report.per_input.shape).reshape(3, -1)
+        return [x1, x2, y + 1, report.per_input.ravel()]
 
     return Report(
         "exact",
@@ -127,10 +183,10 @@ def cmd_exact(args: argparse.Namespace) -> Report:
             "average": report.average,
             "worst_case": report.worst_case,
             "closed_form": quantum.closed_form_restricted(spec.d, spec.r),
-            "per_input": lambda: [list(cell) for cell in cells()],
+            "per_input": _Table(cells),
         },
         text_keys=(*parameters, "average", "worst_case", "closed_form"),
-        table=lambda: ["per-input success (x1 x2 y p):", *(f"{x1} {x2} {y} {_text(p)}" for x1, x2, y, p in cells())],
+        table=lambda: ["per-input success (x1 x2 y p):", *_rows("%s %s %s %s", cells(), _text)],
     )
 
 
@@ -151,7 +207,7 @@ def cmd_scan(args: argparse.Namespace) -> Report:
             "p_quantum_full": "formula",
             "p_quantum_restricted": f"formula, enumeration-verified for d <= {advantage.VERIFY_DMAX}",
         },
-        fields={"rows": lambda: [dict(zip(_SCAN_COLUMNS, row)) for row in rows]},
+        fields={"rows": _Table(lambda: list(zip(*rows)), _SCAN_COLUMNS)},
         table=lambda: [
             _SCAN_TEXT_ROW.format("d", "dprime", "r_max", "classical", "full", "restricted", "ratio"),
             *(_SCAN_TEXT_ROW.format(*map(_text, row)) for row in rows),

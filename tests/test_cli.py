@@ -4,18 +4,28 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
-from racsim import advantage, quantum
+from racsim import advantage, cli, quantum
 from racsim.classical import majority_identity_strategy, strategy_to_text
 from racsim.classical import ClassicalTask, DeterministicStrategy
 from racsim.cli import main
+from racsim.report import SuccessReport
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def first_difference(got: list[str], want: list[str]) -> str | None:
+    """Where two long line lists part, named briefly: pytest's own diff of them takes minutes."""
+    for index, (a, b) in enumerate(zip(got, want)):
+        if a != b:
+            return f"line {index}: {a!r} != {b!r}"
+    return None if len(got) == len(want) else f"{len(got)} lines != {len(want)}"
 
 
 def off_by_1e9(d, r):
@@ -134,6 +144,76 @@ class TestScan:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: enumeration ") and "disagrees with the closed form" in err
+
+
+class TestTableLayout:
+    """The row writer of ``per_input`` and ``rows`` at sizes past the golden files."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["exact", "--task", "full", "--d", "24"], id="exact-full-24"),
+            pytest.param(["exact", "--task", "full", "--d", "128"], id="exact-full-128"),
+            pytest.param(["exact", "--task", "restricted", "--d", "64", "--dprime", "57",
+                          "--variant", "canonical"], id="exact-canonical-64-57"),
+            pytest.param(["exact", "--task", "restricted", "--d", "24", "--dprime", "19",
+                          "--variant", "literal"], id="exact-literal-24-19"),
+            pytest.param(["scan", "--dmax", "2000"], id="scan-2000"),
+        ],
+    )
+    def test_json_is_json_dumps_indent_2(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert first_difference(out.split("\n"), (json.dumps(json.loads(out), indent=2) + "\n").split("\n")) is None
+
+    @pytest.mark.parametrize("dprime", [128, 128 - advantage.r_max(128)])
+    def test_text_table_lists_every_cell(self, capsys, dprime):
+        d = 128
+        code, out, _ = run_cli(
+            capsys, "exact", "--task", "restricted", "--d", str(d), "--dprime", str(dprime),
+            "--variant", "literal",
+        )
+        assert code == 0
+        spec = quantum.ProtocolSpec(d, dprime, quantum.GatingVariant.BOTH_OR_NOTHING)
+        per_input = quantum.exact_success(spec).per_input
+        lines = out.splitlines()
+        rows = lines[lines.index("per-input success (x1 x2 y p):") + 1 :]
+        assert len(rows) == 2 * d * d
+        cells = [f"{x1} {x2} {y} {per_input[x1, x2, y - 1]:.7g}" for x1 in range(d) for x2 in range(d) for y in (1, 2)]
+        assert first_difference(rows, cells) is None
+
+    def test_numpy_floats_are_written_as_json_writes_floats(self):
+        # Enough repeats that each distinct value is rendered once; 0.0 and -0.0 stay apart.
+        column = [np.float64(0.1), np.float64(2.0), np.float64(-0.0), np.float64(0.0)] * 3
+        text = cli._json_field(cli._Table(lambda: [list(range(12)), column]))
+        assert "np.float64(" not in text
+        assert text == json.dumps([[i, float(v)] for i, v in enumerate(column)], indent=2).replace("\n", "\n  ")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param(math.nan, id="nan"),
+            pytest.param(math.inf, id="inf"),
+            pytest.param(-math.inf, id="-inf"),
+            pytest.param(np.float64("nan"), id="numpy-nan"),
+        ],
+    )
+    def test_non_finite_values_are_refused(self, bad):
+        table = cli._Table(lambda: [[0, 1], [0.5, bad]], ("x", "p"))
+        with pytest.raises(ValueError, match="finite floats"):
+            cli._json_field(table)
+
+    def test_non_finite_cell_exits_two_before_writing(self, capsys, monkeypatch):
+        def poisoned(spec):
+            per_input = np.full((spec.d, spec.d, 2), 0.5)
+            per_input[1, 0, 1] = np.nan
+            return SuccessReport(0.5, 0.5, per_input)
+
+        monkeypatch.setattr(quantum, "exact_success", poisoned)
+        code, out, err = run_cli(capsys, "exact", "--task", "full", "--d", "3", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: a table column must hold integers or finite floats")
 
 
 class TestOracle:

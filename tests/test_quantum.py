@@ -205,6 +205,25 @@ class TestGuessFromOutcome:
         with pytest.raises(ValueError):
             GuessDistribution(((0, prob),))
 
+    @pytest.mark.parametrize(
+        "index, entry, message",
+        [
+            pytest.param(0, (0, math.nan), "finite nonnegative", id="nan-first"),
+            pytest.param(500, (500, math.nan), "finite nonnegative", id="nan-inside"),
+            pytest.param(999, (999, math.inf), "finite nonnegative", id="inf-last"),
+            pytest.param(700, (700, -0.001), "finite nonnegative", id="negative-probability"),
+            pytest.param(300, (-1, 0.001), "at least 0, got -1$", id="negative-answer"),
+            pytest.param(10, (np.int64(10), True), "got True$", id="bool-probability"),
+            pytest.param(20, (20.0, 0.001), "integer, got 20.0$", id="float-answer"),
+            pytest.param(30, (30, 0.001, 0), "pairs", id="triple"),
+        ],
+    )
+    def test_guess_distribution_finds_one_bad_entry_among_many(self, index, entry, message):
+        support = [(answer, 0.001) for answer in range(1000)]
+        support[index] = entry
+        with pytest.raises(ValueError, match=message):
+            GuessDistribution(tuple(support))
+
 
 class TestExactSuccess:
     def test_qubit_protocol_value(self):
