@@ -85,8 +85,8 @@ def _text(value) -> str:
 
 def _column_text(column, float_text: Callable[[float], str]) -> list[str]:
     """Each entry of ``column`` as ``str`` writes an integer or ``float_text`` a
-    finite float; any other entry is refused.  When most entries repeat, each
-    distinct value is rendered once."""
+    finite float; any other entry is refused.  Each distinct value is rendered
+    once."""
     column = np.asarray(column)
     if column.dtype == np.float64 and np.isfinite(column).all():
         # distinct bit patterns, so 0.0 and -0.0 stay apart
@@ -96,8 +96,6 @@ def _column_text(column, float_text: Callable[[float], str]) -> list[str]:
         (distinct, index), render = np.unique(column, return_inverse=True), str
     else:
         raise ValueError(f"a table column must hold integers or finite floats, got {column.dtype} values")
-    if 2 * len(distinct) > len(column):
-        return list(map(render, column.tolist()))
     text = list(map(render, distinct.tolist()))
     return list(map(text.__getitem__, index.tolist()))
 

@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -87,22 +85,10 @@ class GuessDistribution:
     support: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        if set(map(len, self.support)) - {2}:
-            raise ValueError("guess support entries must be (answer, probability) pairs")
-        answers, probs = list(map(itemgetter(0), self.support)), list(map(itemgetter(1), self.support))
-
-        def typed(values, kinds) -> bool:  # one check per distinct type
-            return all(kind is not bool and issubclass(kind, kinds) for kind in set(map(type, values)))
-
-        # Values are checked a column at once; on a failure each entry is checked in turn, for its message.
-        if not typed(answers, (int, np.integer)) or min(answers, default=0) < 0:
-            for answer in answers:
-                check_int(answer, "guess answer", 0)
-        weights = np.array(probs, dtype=float) if typed(probs, numbers.Real) else None
-        if weights is None or not (np.isfinite(weights).all() and (weights >= 0).all()):
-            for prob in probs:
-                check_weight(prob, "guess probabilities")
-        total = math.fsum(probs)
+        for answer, prob in self.support:
+            check_int(answer, "guess answer", 0)
+            check_weight(prob, "guess probabilities")
+        total = math.fsum(prob for _, prob in self.support)
         if abs(total - 1.0) > qudit.ATOL:
             raise ValueError(f"guess probabilities must sum to 1, got {total}")
 
@@ -162,9 +148,7 @@ def guess_from_outcome(outcome: int, spec: ProtocolSpec) -> GuessDistribution:
     if outcome >= 1:
         return GuessDistribution(((outcome, 1.0),))
     fallback, _, chance = _guess_rule(spec)
-    # A list first: tuple() of an iterator puts the growing tuple back in the youngest
-    # garbage-collector generation at every resize, so each collection walks it again.
-    return GuessDistribution(tuple([*zip(fallback.tolist(), chance[fallback].tolist())]))
+    return GuessDistribution(tuple(zip(fallback.tolist(), chance[fallback].tolist())))
 
 
 def _anchor_born(m: int) -> np.ndarray:

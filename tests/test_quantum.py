@@ -206,23 +206,16 @@ class TestGuessFromOutcome:
             GuessDistribution(((0, prob),))
 
     @pytest.mark.parametrize(
-        "index, entry, message",
+        "support, message",
         [
-            pytest.param(0, (0, math.nan), "finite nonnegative", id="nan-first"),
-            pytest.param(500, (500, math.nan), "finite nonnegative", id="nan-inside"),
-            pytest.param(999, (999, math.inf), "finite nonnegative", id="inf-last"),
-            pytest.param(700, (700, -0.001), "finite nonnegative", id="negative-probability"),
-            pytest.param(300, (-1, 0.001), "at least 0, got -1$", id="negative-answer"),
-            pytest.param(10, (np.int64(10), True), "got True$", id="bool-probability"),
-            pytest.param(20, (20.0, 0.001), "integer, got 20.0$", id="float-answer"),
-            pytest.param(30, (30, 0.001, 0), "pairs", id="triple"),
+            pytest.param(((0, math.nan), (-1, 0.5)), "finite nonnegative", id="probability-first"),
+            pytest.param(((-1, 0.5), (0, math.nan)), "at least 0, got -1$", id="answer-first"),
+            pytest.param(((0, -0.5), (1.0, 0.5)), "finite nonnegative", id="negative-then-float"),
         ],
     )
-    def test_guess_distribution_finds_one_bad_entry_among_many(self, index, entry, message):
-        support = [(answer, 0.001) for answer in range(1000)]
-        support[index] = entry
+    def test_guess_distribution_reports_the_first_bad_entry(self, support, message):
         with pytest.raises(ValueError, match=message):
-            GuessDistribution(tuple(support))
+            GuessDistribution(support)
 
 
 class TestExactSuccess:
