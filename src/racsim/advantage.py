@@ -9,8 +9,8 @@ floor((-3 + sqrt(4d + 5)) / 2) treats the strict bound as non-strict, so when
 classical value.  The closed forms are cross-checked at band edges only:
 p_restricted(d, r) falls as r grows and, at fixed r, the advantage grows with
 d, so an advantage at the first d of band r and none for r + 1 at its last d
-imply every row between.  ``scan`` tabulates the staircase with closed-form
-and enumeration-verified success probabilities.
+imply every row between.  ``scan_columns`` builds the verified staircase as
+int64 and float64 columns, which the CLI writes; ``scan`` returns their rows.
 """
 
 from __future__ import annotations
@@ -92,17 +92,14 @@ def r_max(d: int) -> int:
     return _band(d, d)[0]
 
 
-def scan(d_min: int = 2, d_max: int = 50) -> list[AdvantageRow]:
-    """Staircase table for d in [d_min, d_max], one row per alphabet size.
+def scan_columns(d_min: int = 2, d_max: int = 50) -> list[np.ndarray]:
+    """The staircase for d in [d_min, d_max] as the seven :class:`AdvantageRow` columns:
+    int64 d, d' and r_max, then float64 success probabilities and ratio.
 
-    Each row reports the largest dimensional advantage, the classical and full
-    quantum closed forms, and the restricted value at that advantage.  The
-    restricted value of every row with d <= VERIFY_DMAX is recomputed by
-    exhaustive Born-rule enumeration and must agree with the closed form to
-    1e-12, else ``AssertionError`` is raised.  Columns are built as int64 and
-    float64 arrays, so d_max may be at most 2^63 - 1.
-    """
-    d_min = check_int(d_min, "d_min", 2)
+    The restricted value of every d <= VERIFY_DMAX is recomputed by exhaustive
+    Born-rule enumeration and must agree with the closed form to 1e-12, else
+    ``AssertionError`` is raised.  Both bounds are at most 2^63 - 1."""
+    d_min = check_int(d_min, "d_min", 2, np.iinfo(np.int64).max)
     d_max = check_int(d_max, "d_max", d_min, np.iinfo(np.int64).max)
     d, first = d_min + np.arange(d_max - d_min + 1, dtype=np.int64), d_min
     r = np.empty_like(d)
@@ -110,24 +107,27 @@ def scan(d_min: int = 2, d_max: int = 50) -> list[AdvantageRow]:
         band, last = _band(first, d_max)
         r[first - d_min : last - d_min + 1] = band
         first = last + 1
-    p_classical, p_restricted = _two_dit_value(d), _restricted_value(d, d - r)
-    columns = [d, d - r, r, p_classical, _restricted_value(d, d), p_restricted, p_restricted / p_classical]
-    rows = list(map(AdvantageRow._make, zip(*(column.tolist() for column in columns))))
-    for row in rows[: max(0, VERIFY_DMAX - d_min + 1)]:
-        p_restricted = closed_form_restricted(row.d, row.r_max)
-        enumerated = exact_success(ProtocolSpec(d=row.d, d_prime=row.d_prime)).average
+    verified = max(0, VERIFY_DMAX - d_min + 1)
+    for d_row, r_row in zip(d[:verified].tolist(), r[:verified].tolist()):
+        p_restricted = closed_form_restricted(d_row, r_row)
+        enumerated = exact_success(ProtocolSpec(d=d_row, d_prime=d_row - r_row)).average
         if abs(enumerated - p_restricted) > _VERIFY_TOL:
-            raise AssertionError(
-                f"enumeration {enumerated!r} disagrees with the closed form "
-                f"{p_restricted!r} at d={row.d}, r={row.r_max}"
-            )
-    return rows
+            raise AssertionError(f"enumeration {enumerated!r} disagrees with the closed form "
+                                 f"{p_restricted!r} at d={d_row}, r={r_row}")
+    p_classical, p_restricted = _two_dit_value(d), _restricted_value(d, d - r)
+    return [d, d - r, r, p_classical, _restricted_value(d, d), p_restricted, p_restricted / p_classical]
+
+
+def scan(d_min: int = 2, d_max: int = 50) -> list[AdvantageRow]:
+    """Staircase table for d in [d_min, d_max]: the rows of :func:`scan_columns`, one
+    :class:`AdvantageRow` of Python ints and floats per alphabet size."""
+    return list(map(AdvantageRow._make, zip(*(column.tolist() for column in scan_columns(d_min, d_max)))))
 
 
 def ratio_argmax(d_min: int = 2, d_max: int = 1000) -> int:
     """Alphabet size maximizing the full-protocol-to-classical success ratio, the
-    smallest on ties.  As in :func:`scan`, d is an int64 array, so d_max is at most 2^63 - 1."""
-    d_min = check_int(d_min, "d_min", 2)
+    smallest on ties.  As in :func:`scan_columns`, d is an int64 array, so both bounds are at most 2^63 - 1."""
+    d_min = check_int(d_min, "d_min", 2, np.iinfo(np.int64).max)
     d_max = check_int(d_max, "d_max", d_min, np.iinfo(np.int64).max)
     d = np.arange(d_min, d_max + 1, dtype=np.int64)
     return d_min + int(np.argmax(_restricted_value(d, d) / _two_dit_value(d)))

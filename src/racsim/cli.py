@@ -5,16 +5,17 @@ Subcommands: ``exact`` (enumerated success report for one protocol), ``scan``
 classical search, or evaluation of a strategy file), ``simulate`` (seeded
 Monte Carlo), and ``verify`` (closed-form versus enumeration cross-checks).
 
-Every command returns a :class:`Report`, and one renderer turns it into the
-requested format.  Output is deterministic: fields appear in a fixed order,
-probabilities are rendered with 7 significant digits in text and CSV (JSON
-carries full double precision), files end every line with LF, and reports
-carry no timestamps.  JSON reports include a provenance block recording the
-tool version, the parameters, and whether each value came from a closed form
-or an enumeration.  They are laid out byte for byte as ``json.dumps(report,
-indent=2)`` lays them out, but written a field at a time: the large tables
-(``exact``'s ``per_input`` and ``scan``'s ``rows``) one row at a time from a
-template of that layout, and every other field by ``json.dumps`` itself.
+Every command returns a :class:`Report` of values, and one renderer turns it
+into the requested format.  Output is deterministic: fields appear in a fixed
+order, probabilities are rendered with 7 significant digits in text and CSV
+(JSON carries full double precision), files end every line with LF, and
+reports carry no timestamps.  JSON reports include a provenance block
+recording the tool version, the parameters, and whether each value came from
+a closed form or an enumeration.  They are laid out byte for byte as
+``json.dumps(report, indent=2)`` lays them out, but written a field at a time.
+Every table (``exact``'s ``per_input`` and ``scan``'s ``rows``) is written from
+its columns one row at a time by :func:`_rows`, from one %-template per table
+and format; every other field is written by ``json.dumps`` itself.
 
 Exit status: 0 on success, 1 on failed verification (including an internal
 cross-check of enumeration against a closed form), 2 on invalid arguments or a
@@ -50,13 +51,13 @@ class Report:
     """What one command prints, before a format is chosen.
 
     ``parameters`` and ``sources`` (where each value came from) make up the
-    JSON provenance; ``fields`` are the other JSON fields, in order, and a
-    callable field is built only when JSON is rendered.  A :class:`_Table`
-    field is written one row at a time (:func:`_json_field`), any other field
-    by ``json.dumps``.  Text output shows the parameters or fields named by
-    ``text_keys`` as ``key: value`` lines, skipping None, then the lines
-    ``table`` returns.  ``csv`` returns the CSV lines of a command that has a
-    CSV format.  ``status`` is the exit status.
+    JSON provenance; ``fields`` are the other JSON fields, in order.  A
+    :class:`_Table` field is written one row at a time (:func:`_json_field`),
+    any other field by ``json.dumps``.  Text output shows the parameters or
+    fields named by ``text_keys`` as ``key: value`` lines, skipping None, then
+    the lines ``table`` returns; it is called only for text, so no other
+    format renders them.  A CSV report is its one :class:`_Table` field,
+    headed by that table's ``keys``.  ``status`` is the exit status.
     """
 
     command: str
@@ -65,17 +66,16 @@ class Report:
     fields: dict = field(default_factory=dict)
     text_keys: tuple[str, ...] = ()
     table: Callable[[], Iterable[str]] = tuple
-    csv: Callable[[], Iterable[str]] | None = None
     status: int = 0
 
 
 @dataclass(frozen=True)
 class _Table:
-    """A table field: ``columns`` returns its columns when it is rendered, each
-    a sequence of integers or of float64 values.  In JSON a row is a list, or an
-    object with the members ``keys`` when they are given."""
+    """A table field: ``columns`` are its columns, each a sequence of integers or
+    of float64 values.  In JSON a row is a list, or an object with the members
+    ``keys`` when they are given; ``keys`` also head its CSV form."""
 
-    columns: Callable[[], list]
+    columns: list
     keys: tuple[str, ...] | None = None
 
 
@@ -113,7 +113,7 @@ def _json_field(value) -> str:
     if not isinstance(value, _Table):
         # JSON strings escape every newline, so each raw one starts a line one level deeper.
         return json.dumps(value, indent=2).replace("\n", "\n  ")
-    columns = value.columns()
+    columns = value.columns
     row = dict.fromkeys(value.keys, _SLOT) if value.keys else [_SLOT] * len(columns)
     layout = json.dumps(row, indent=2).replace("%", "%%").replace(json.dumps(_SLOT), "%s")
     # float.__repr__ is how json writes a float; _column_text gives it Python floats only.
@@ -137,11 +137,13 @@ def _render(report: Report, args: argparse.Namespace) -> None:
     if args.format == "json":
         provenance = {"tool": "racsim", "version": __version__, "command": report.command,
                       "parameters": report.parameters, "values": report.sources}
-        members = [f"{json.dumps(key)}: {_json_field(value() if callable(value) else value)}"
+        members = [f"{json.dumps(key)}: {_json_field(value)}"
                    for key, value in {"provenance": provenance, **report.fields}.items()]
         text = "{\n  " + ",\n  ".join(members) + "\n}\n"
     elif args.format == "csv":
-        text = "\n".join(report.csv()) + "\n"
+        (table,) = [value for value in report.fields.values() if isinstance(value, _Table)]
+        rows = _rows(",".join(["%s"] * len(table.keys)), table.columns, _text)
+        text = "\n".join([",".join(table.keys), *rows]) + "\n"
     else:
         shown = {**report.parameters, **report.fields}
         lines = [f"{key}: {_text(shown[key])}" for key in report.text_keys if shown[key] is not None]
@@ -167,10 +169,8 @@ def _build_spec(args: argparse.Namespace) -> tuple[quantum.ProtocolSpec, dict]:
 def cmd_exact(args: argparse.Namespace) -> Report:
     spec, parameters = _build_spec(args)
     report = quantum.exact_success(spec)
-
-    def cells():
-        x1, x2, y = np.indices(report.per_input.shape).reshape(3, -1)
-        return [x1, x2, y + 1, report.per_input.ravel()]
+    x1, x2, y = np.indices(report.per_input.shape).reshape(3, -1)
+    cells = [x1, x2, y + 1, report.per_input.ravel()]
 
     return Report(
         "exact",
@@ -184,18 +184,18 @@ def cmd_exact(args: argparse.Namespace) -> Report:
             "per_input": _Table(cells),
         },
         text_keys=(*parameters, "average", "worst_case", "closed_form"),
-        table=lambda: ["per-input success (x1 x2 y p):", *_rows("%s %s %s %s", cells(), _text)],
+        table=lambda: ["per-input success (x1 x2 y p):", *_rows("%s %s %s %s", cells, _text)],
     )
 
 
 # ------------------------------------------------------------------ scan ---
 
 _SCAN_COLUMNS = ("d", "dprime", "r_max", "p_classical", "p_quantum_full", "p_quantum_restricted", "ratio")
-_SCAN_TEXT_ROW = "{:>4} {:>6} {:>5} {:>11} {:>11} {:>11} {:>11}"
+_SCAN_TEXT_ROW = "%4s %6s %5s %11s %11s %11s %11s"
 
 
 def cmd_scan(args: argparse.Namespace) -> Report:
-    rows = advantage.scan(args.dmin, args.dmax)
+    columns = advantage.scan_columns(args.dmin, args.dmax)
     return Report(
         "scan",
         {"dmin": args.dmin, "dmax": args.dmax},
@@ -205,12 +205,9 @@ def cmd_scan(args: argparse.Namespace) -> Report:
             "p_quantum_full": "formula",
             "p_quantum_restricted": f"formula, enumeration-verified for d <= {advantage.VERIFY_DMAX}",
         },
-        fields={"rows": _Table(lambda: list(zip(*rows)), _SCAN_COLUMNS)},
-        table=lambda: [
-            _SCAN_TEXT_ROW.format("d", "dprime", "r_max", "classical", "full", "restricted", "ratio"),
-            *(_SCAN_TEXT_ROW.format(*map(_text, row)) for row in rows),
-        ],
-        csv=lambda: [",".join(_SCAN_COLUMNS), *(",".join(map(_text, row)) for row in rows)],
+        fields={"rows": _Table(columns, _SCAN_COLUMNS)},
+        table=lambda: [_SCAN_TEXT_ROW % ("d", "dprime", "r_max", "classical", "full", "restricted", "ratio"),
+                       *_rows(_SCAN_TEXT_ROW, columns, _text)],
     )
 
 
@@ -233,7 +230,7 @@ def cmd_oracle(args: argparse.Namespace) -> Report:
             {"evaluate": args.evaluate, "n": task.n, "d": task.d},
             sources={"average": "enumerated", "worst_case": "enumerated"},
             fields={"average": report.average, "worst_case": report.worst_case,
-                    "strategy": lambda: _strategy_fields(strategy)},
+                    "strategy": _strategy_fields(strategy)},
             text_keys=("n", "d", "average", "worst_case"),
         )
 
@@ -243,8 +240,9 @@ def cmd_oracle(args: argparse.Namespace) -> Report:
     result = classical.optimal_classical_bruteforce(
         task, max_tuples=args.max_tuples, allow_large=args.allow_large
     )
+    witness_text = classical.strategy_to_text(result.witness)
     if args.witness_out is not None:
-        _emit(classical.strategy_to_text(result.witness), args.witness_out)
+        _emit(witness_text, args.witness_out)
     return Report(
         "oracle",
         {"n": args.n, "d": args.d, "max_tuples": args.max_tuples, "allow_large": args.allow_large},
@@ -253,10 +251,10 @@ def cmd_oracle(args: argparse.Namespace) -> Report:
             "optimum": result.optimum,
             "closed_form": classical.closed_form_classical(args.n, args.d) if args.n in (2, 3) else None,
             "strategies_examined": result.strategies_examined,
-            "witness": lambda: _strategy_fields(result.witness),
+            "witness": _strategy_fields(result.witness),
         },
         text_keys=("n", "d", "optimum", "strategies_examined", "closed_form"),
-        table=lambda: ["witness:", *classical.strategy_to_text(result.witness).splitlines()],
+        table=lambda: ["witness:", *witness_text.splitlines()],
     )
 
 

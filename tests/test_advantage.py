@@ -177,6 +177,23 @@ class TestScan:
         with pytest.raises(ValueError):
             scan(top, top + 1)
 
+    def test_d_min_past_int64_is_blamed_on_d_min(self):
+        with pytest.raises(ValueError, match=r"^d_min must be in 2\.\.9223372036854775807, got 10{20}$"):
+            scan(10**20)
+
+    @pytest.mark.parametrize("d_min, d_max, calls", [(65, 200, 0), (100, 200, 0), (60, 70, 5), (2, 100, 63)])
+    def test_enumeration_covers_d_up_to_verify_dmax_only(self, monkeypatch, d_min, d_max, calls):
+        seen = []
+
+        def counted(spec):
+            seen.append(spec.d)
+            return exact_success(spec)
+
+        monkeypatch.setattr(advantage, "exact_success", counted)
+        scan(d_min, d_max)
+        assert len(seen) == calls
+        assert seen == list(range(d_min, min(d_max, advantage.VERIFY_DMAX) + 1))
+
     @pytest.mark.parametrize(
         "func, args",
         [
@@ -247,3 +264,7 @@ class TestRatioRemark:
     def test_range_past_int64_is_refused_at_once(self):
         with pytest.raises(ValueError, match="d_max must be in 2..9223372036854775807"):
             ratio_argmax(2, 10**30)
+
+    def test_d_min_past_int64_is_blamed_on_d_min(self):
+        with pytest.raises(ValueError, match=r"^d_min must be in 2\.\.9223372036854775807, got 10{20}$"):
+            ratio_argmax(10**20)

@@ -137,6 +137,12 @@ class TestScan:
         assert payload["provenance"]["command"] == "scan"
         assert payload["rows"][-1]["r_max"] == 1
 
+    def test_d_min_past_int64_exits_two_naming_d_min(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "--dmin", "99999999999999999999")
+        assert code == 2
+        assert out == ""
+        assert err == "error: d_min must be in 2..9223372036854775807, got 99999999999999999999\n"
+
     def test_cross_check_failure_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(advantage, "closed_form_restricted", off_by_1e9)
         code, out, err = run_cli(capsys, "scan", "--dmax", "6")
@@ -166,6 +172,24 @@ class TestTableLayout:
         assert code == 0
         assert first_difference(out.split("\n"), (json.dumps(json.loads(out), indent=2) + "\n").split("\n")) is None
 
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_scan_text_and_csv_match_a_per_row_writer(self, capsys, fmt):
+        code, out, _ = run_cli(capsys, "scan", "--dmax", "2000", "--format", fmt)
+        assert code == 0
+        layout = "{:>4} {:>6} {:>5} {:>11} {:>11} {:>11} {:>11}"
+
+        def shown(value):
+            return format(value, ".7g") if isinstance(value, float) else str(value)
+
+        if fmt == "text":
+            want = [layout.format("d", "dprime", "r_max", "classical", "full", "restricted", "ratio")]
+            want += [layout.format(*map(shown, row)) for row in advantage.scan(2, 2000)]
+        else:
+            want = ["d,dprime,r_max,p_classical,p_quantum_full,p_quantum_restricted,ratio"]
+            want += [",".join(map(shown, row)) for row in advantage.scan(2, 2000)]
+        assert out.endswith("\n")
+        assert first_difference(out[:-1].split("\n"), want) is None
+
     @pytest.mark.parametrize("dprime", [128, 128 - advantage.r_max(128)])
     def test_text_table_lists_every_cell(self, capsys, dprime):
         d = 128
@@ -185,7 +209,7 @@ class TestTableLayout:
     def test_numpy_floats_are_written_as_json_writes_floats(self):
         # Enough repeats that each distinct value is rendered once; 0.0 and -0.0 stay apart.
         column = [np.float64(0.1), np.float64(2.0), np.float64(-0.0), np.float64(0.0)] * 3
-        text = cli._json_field(cli._Table(lambda: [list(range(12)), column]))
+        text = cli._json_field(cli._Table([list(range(12)), column]))
         assert "np.float64(" not in text
         assert text == json.dumps([[i, float(v)] for i, v in enumerate(column)], indent=2).replace("\n", "\n  ")
 
@@ -199,7 +223,7 @@ class TestTableLayout:
         ],
     )
     def test_non_finite_values_are_refused(self, bad):
-        table = cli._Table(lambda: [[0, 1], [0.5, bad]], ("x", "p"))
+        table = cli._Table([[0, 1], [0.5, bad]], ("x", "p"))
         with pytest.raises(ValueError, match="finite floats"):
             cli._json_field(table)
 
