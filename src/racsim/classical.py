@@ -98,22 +98,32 @@ class DeterministicStrategy:
             raise ValueError(f"encoder table must have {count} entries, got {len(self.encoder)}")
         if len(self.decoders) != n or any(len(t) != d for t in self.decoders):
             raise ValueError(f"need {n} decoder tables of {d} entries each")
+        # An integer array is checked by its dtype, shape and range, any other table entry by entry.
+        is_array = [isinstance(t, np.ndarray) and t.dtype.kind in "iu" for t in (self.encoder, self.decoders)]
+        tables = [*([] if is_array[0] else [self.encoder]), *([] if is_array[1] else self.decoders)]
         # An array's entries are checked as the Python scalars tolist() gives.
-        tables = [t.tolist() if isinstance(t, np.ndarray) else t for t in (self.encoder, *self.decoders)]
+        tables = [t.tolist() if isinstance(t, np.ndarray) else t for t in tables]
         # one pass over the entries' types in C, then a check per distinct type
         kinds = set(map(type, itertools.chain(*tables)))
         for kind in kinds:
             if kind is bool or not issubclass(kind, (int, np.integer)):
                 raise ValueError(f"table entries must be integers, got a {kind.__name__}")
         try:
-            entries = np.fromiter(itertools.chain(*tables), dtype=np.int64, count=count + n * d)
-            in_range = entries.min() >= 0 and entries.max() < d
+            entries = np.fromiter(itertools.chain(*tables), dtype=np.int64, count=sum(map(len, tables)))
+            entries.flags.writeable = False
+            # astype copies, so a later change to the caller's array reaches neither table. It
+            # wraps uint64 entries of 2^63 and above round to negative ones, which are refused.
+            encoder = self.encoder.astype(np.int64) if is_array[0] else entries[:count]
+            decoders = self.decoders.astype(np.int64) if is_array[1] else entries[-n * d :].reshape(n, d)
+            in_range = min(encoder.min(), decoders.min()) >= 0 and max(encoder.max(), decoders.max()) < d
         except OverflowError:  # beyond int64, so out of range too
             in_range = False
         if not in_range:
             raise ValueError(f"table entries must lie in 0..{d - 1}")
-        entries.flags.writeable = False
-        encoder, decoders = entries[:count], entries[count:].reshape(n, d)
+        if encoder.shape != (count,) or decoders.shape != (n, d):
+            shapes = f"({count},) and ({n}, {d}), got {encoder.shape} and {decoders.shape}"
+            raise ValueError(f"table arrays must have shapes {shapes}")
+        encoder.flags.writeable = decoders.flags.writeable = False
         # Not a dataclass field: equality, hashing and asdict() see the tuples only.
         object.__setattr__(self, "_arrays", (encoder, decoders))
         if kinds != {int} or any(type(t) is not tuple for t in (self.encoder, self.decoders, *self.decoders)):
@@ -322,14 +332,16 @@ def strategy_to_text(strategy: DeterministicStrategy) -> str:
     message to the answer for questions y = 1..n.
     """
     n, d = strategy.n, strategy.d
-    words = np.array([str(v) for v in range(d)], dtype=object)
-    columns = np.vstack((all_inputs(n, d), strategy._arrays[0]))  # each: an input string, its message
-    lines = [f"{n} {d}"]
-    # Joined a chunk of columns at a time, so no list holds every encoder line.
-    for top in range(0, columns.shape[1], _TEXT_ROWS):
-        lines.append("\n".join(map(" ".join, words[columns[:, top : top + _TEXT_ROWS].T].tolist())))
-    lines += (f"{m} {a}" for table in strategy.decoders for m, a in enumerate(table))
-    return "\n".join([*lines, ""])
+    # Row v is "v " (a dit), row d + v is "v\n" (a message), zero-padded to one width.
+    table = np.array([f"{v}{end}".encode() for end in " \n" for v in range(d)]).view(np.uint8).reshape(2 * d, -1)
+    inputs, messages = all_inputs(n, d), strategy._arrays[0]
+    chunks = [f"{n} {d}\n"]
+    # Written a chunk of lines at a time, so no table holds every encoder line's cells.
+    for top in range(0, d**n, _TEXT_ROWS):
+        cells = np.vstack((inputs[:, top : top + _TEXT_ROWS], messages[top : top + _TEXT_ROWS] + d)).T
+        chunks.append(table.take(cells, axis=0)[(table != 0).take(cells, axis=0)].tobytes().decode())
+    chunks += (f"{m} {a}\n" for t in strategy.decoders for m, a in enumerate(t))
+    return "".join(chunks)
 
 
 def strategy_from_text(text: str) -> DeterministicStrategy:

@@ -32,6 +32,8 @@ from oracles import classical_optimum_by_column_multisets, classical_optimum_ful
 
 RNG = np.random.default_rng(7)
 
+INTEGER_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
 
 def send_first_bit() -> DeterministicStrategy:
     identity = (0, 1)
@@ -90,6 +92,10 @@ class TestEvaluateStrategy:
             DeterministicStrategy(n=2, d=2, encoder=(0, 0, 1), decoders=((0, 1), (0, 1)))
         with pytest.raises(ValueError, match="need 2 decoder tables of 2 entries each"):
             DeterministicStrategy(n=2, d=2, encoder=(0, 0, 1, 1), decoders=((0, 1),))
+        with pytest.raises(ValueError, match="entries must lie in 0..1"):
+            DeterministicStrategy(n=2, d=2, encoder=np.array([0, 0, -1, 1], dtype=np.int8), decoders=((0, 1), (0, 1)))
+        with pytest.raises(ValueError, match=r"shapes \(4,\) and \(2, 2\), got \(4, 1\) and \(2, 2\)"):
+            DeterministicStrategy(n=2, d=2, encoder=np.array([[0], [0], [1], [1]]), decoders=((0, 1), (0, 1)))
 
     @pytest.mark.parametrize(
         "change",
@@ -101,6 +107,12 @@ class TestEvaluateStrategy:
             pytest.param({"decoders": ((0, np.True_), (0, 1))}, id="numpy-bool-entry"),
             pytest.param({"decoders": (("0", 1), (0, 1))}, id="str-entry"),
             pytest.param({"encoder": (0, 0, 2**70, 1)}, id="huge-entry"),
+            pytest.param({"encoder": np.array([0, 0, 1, 1], dtype=bool)}, id="bool-array"),
+            pytest.param({"encoder": np.array([0.0, 0.0, 1.0, 1.0])}, id="integral-float-array"),
+            pytest.param({"encoder": np.array([0, 0, True, 1], dtype=object)}, id="object-array-holding-a-bool"),
+            pytest.param({"decoders": np.array([[0, 1], [0, 1]], dtype=complex)}, id="complex-array"),
+            pytest.param({"encoder": np.array([0, 0, 2**63, 1], dtype=np.uint64)}, id="uint64-2-to-the-63"),
+            pytest.param({"decoders": np.array([[0, 2**64 - 1], [0, 1]], dtype=np.uint64)}, id="uint64-max"),
             pytest.param({"n": 2.0}, id="float-n"),
             pytest.param({"n": True}, id="bool-n"),
             pytest.param({"d": 2.0}, id="float-d"),
@@ -124,6 +136,10 @@ class TestEvaluateStrategy:
             pytest.param(np.array([0, 0, 1, 1], dtype=np.uint8), [[0, 1], [0, 1]], id="uint8-array-lists"),
             pytest.param(tuple(np.arange(4) // 2), ((np.int8(0), 1), (0, np.int64(1))), id="numpy-ints"),
             pytest.param([0, 0, 1, 1], [(0, 1), [0, 1]], id="lists"),
+            *(
+                pytest.param(np.array([0, 0, 1, 1], dtype=t), np.array([[0, 1], [0, 1]], dtype=t), id=t.__name__)
+                for t in INTEGER_DTYPES
+            ),
         ],
     )
     def test_tables_are_stored_as_python_int_tuples(self, encoder, decoders):
@@ -134,6 +150,18 @@ class TestEvaluateStrategy:
         assert json.loads(json.dumps(asdict(strategy))) == {
             "n": 2, "d": 2, "encoder": [0, 0, 1, 1], "decoders": [[0, 1], [0, 1]]
         }
+
+    def test_tables_do_not_alias_the_callers_arrays(self):
+        encoder, decoders = np.array([0, 0, 1, 1]), np.array([[0, 1], [0, 1]])
+        strategy = DeterministicStrategy(n=2, d=2, encoder=encoder, decoders=decoders)
+        encoder[:], decoders[:] = 1, 0
+        np.testing.assert_array_equal(strategy._arrays[0], [0, 0, 1, 1])
+        np.testing.assert_array_equal(strategy._arrays[1], [[0, 1], [0, 1]])
+        assert strategy == send_first_bit()
+        for table in strategy._arrays:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1
 
     def test_average_counts_by_hand(self):
         # d=2, n=2, send-x1: y=1 always right, y=2 right on the diagonal
@@ -486,7 +514,54 @@ def widened_table(first: int, last: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reference_text(strategy: DeterministicStrategy) -> str:
+    """The exchange table format written one f-string per line."""
+    n, d = strategy.n, strategy.d
+    lines = [f"{n} {d}"]
+    lines += [f"{' '.join(map(str, x))} {m}" for x, m in zip(itertools.product(range(d), repeat=n), strategy.encoder)]
+    lines += [f"{m} {a}" for table in strategy.decoders for m, a in enumerate(table)]
+    return "\n".join(lines) + "\n"
+
+
+def extreme_messages_strategy(n: int, d: int) -> DeterministicStrategy:
+    """Random tables whose encoder sends message 0 first and message d - 1 last."""
+    rng = np.random.default_rng(d**n)
+    encoder = rng.integers(0, d, d**n)
+    encoder[0], encoder[-1] = 0, d - 1
+    return DeterministicStrategy(n=n, d=d, encoder=encoder, decoders=rng.integers(0, d, (n, d)))
+
+
 class TestStrategyTextFormat:
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            # every digit-width boundary, each with messages 0 and d - 1
+            *(
+                pytest.param(extreme_messages_strategy(n, d), id=f"extremes-{n}-{d}")
+                for n, d in [(1, 10), (1, 11), (2, 10), (1, 101), (2, 100), (1, 1000)]
+            ),
+            # several chunks of encoder lines; 18^4 is not a multiple of the chunk length
+            pytest.param(majority_identity_strategy(ClassicalTask(3, 48)), id="majority-3-48"),
+            pytest.param(majority_identity_strategy(ClassicalTask(4, 18)), id="majority-4-18"),
+            pytest.param(extreme_messages_strategy(3, 23), id="random-3-23"),
+        ],
+    )
+    def test_matches_a_line_by_line_reference_writer(self, strategy):
+        assert strategy_to_text(strategy) == reference_text(strategy)
+
+    def test_write_memory_at_benchmark_size(self):
+        """The (3,48) majority table written with a traced peak under 5 MB; formatting
+        every line of a chunk as a Python string peaked at 6.0 MB."""
+        strategy = majority_identity_strategy(ClassicalTask(3, 48))
+        tracemalloc.start()
+        try:
+            text = strategy_to_text(strategy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == reference_text(strategy)
+        assert peak < 5e6
+
     def test_round_trip(self):
         for n, d in [(2, 2), (2, 4), (3, 3)]:
             strategy = random_strategy(n, d)
