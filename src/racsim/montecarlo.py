@@ -5,19 +5,21 @@ random input string and a uniformly random question are drawn, the protocol
 announces an answer, and the trial succeeds when the answer is the asked dit.
 Estimates converge to the exact values and are bit-reproducible.  One
 generator, numpy's default PCG64 seeded from ``TrialConfig.seed``, plays the
-trials in chunks of at most ``_CHUNK``; each chunk draws its (size, n) input
-matrix, then its questions, then what the protocol's answer step needs.  A
-quantum protocol draws outcome uniforms and then guess uniforms; a classical
-strategy draws nothing more and looks its answer up in its tables.  That
-order, with the chunk size, is random stream ``STREAM_VERSION``.  Memory is
-set by the chunk, not by the trial count.
+trials in chunks of at most ``_CHUNK``; each chunk draws its position-major
+(n, size) input matrix in the smallest unsigned type that holds 2d - 1, then
+its questions 0..n-1 as uint8, then only what the protocol's answer step
+uses.  A quantum protocol draws one outcome uniform per trial and, when its
+fallback set holds more than one dit, one fallback index per trial that
+announces 0; a classical strategy draws nothing more and looks its answer up
+in its tables.  That order, with the chunk size, is random stream
+``STREAM_VERSION``.  Memory is set by the chunk, not by the trial count.
 
-Outcome sampling binary-searches the anchor's cumulative Born row, the one
-O(d′) vector exact evaluation reads for both questions, and moves the outcome
-by the trial's power mod d′, as Shift^a Clock^b rolls the two distributions by
-a and b; no state collapse is simulated.  That is stream 3.  Stream 2 searched
-a row per (question, power), already rolled, so its seeds now give other
-quantum estimates.
+The anchor's Born row, the one O(d') vector exact evaluation reads for both
+questions, is b0 followed by d' - 1 equal entries, so an outcome uniform u is
+inverted in closed form: outcome 0 if u < b0, else 1 + min(floor((u - b0) s),
+d' - 2) with the float s = (d' - 1) / (1 - b0).  The outcome then moves
+by the asked question's power mod d', as Shift^a Clock^b rolls the two
+distributions by a and b; no state collapse is simulated.  That is stream 4.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .quantum import ProtocolSpec, _anchor_born, _check_spec, _guess_rule, _powe
 from .report import check_int
 
 #: Version of the seeded variate stream; it changes whenever a seed would
-#: produce different trials.  Version 3 draws in chunks of ``_CHUNK`` trials.
-STREAM_VERSION = 3
+#: produce different trials.  Version 4 draws in chunks of ``_CHUNK`` trials.
+STREAM_VERSION = 4
 
 _CHUNK = 1 << 17
 
@@ -60,42 +62,67 @@ class Estimate:
     trials: int
 
 
-def _play(protocol, config: TrialConfig) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Inputs, questions and answers of each chunk of at most ``_CHUNK`` trials."""
+def _asked(inputs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The dit each trial asks for: x[0] plus the steps x[j] - x[j-1] for j <= y.
+    Unsigned arithmetic wraps, but the telescoped sum is a dit, so it comes out exact."""
+    asked = inputs[0]
+    for j in range(1, len(inputs)):
+        asked = asked + (y >= j) * (inputs[j] - inputs[j - 1])
+    return asked
+
+
+def _play(protocol, config: TrialConfig) -> Iterator[tuple[np.ndarray, ...]]:
+    """Inputs (position-major), questions, asked dits and answers of each chunk
+    of at most ``_CHUNK`` trials."""
+    if not isinstance(protocol, (ProtocolSpec, DeterministicStrategy)):
+        raise TypeError(f"cannot simulate {type(protocol).__name__}")
+    d = protocol.d
+    # The smallest unsigned type holding 2d - 1: an outcome plus a power cannot wrap.
+    dtype = np.min_scalar_type(2 * d - 1)
     if isinstance(protocol, ProtocolSpec):
-        n, d, m = 2, protocol.d, protocol.d_prime
-        # Forced to 1.0 at the end, so rounding cannot push a uniform past the last outcome.
-        cdf = np.cumsum(_anchor_born(m))
-        cdf[-1] = 1.0
-        guess_set = _guess_rule(protocol)[0]
+        n, m = 2, protocol.d_prime
+        # Read from the O(d') row, whose allocation refuses a dimension too large to play.
+        b0 = _anchor_born(m)[0]
+        # The row past b0 holds m - 1 equal entries; at m = 1, b0 = 1 and every outcome is 0.
+        scale = (m - 1) / (1 - b0) if m > 1 else 0.0
+        fallback = _guess_rule(protocol)[0]
 
         def answer(rng, inputs, y):
-            u_outcome = rng.random(len(y))
-            u_guess = rng.random(len(y))
-            a, b = _powers(protocol, inputs[:, 0], inputs[:, 1])
-            # The anchor's outcome counts the row entries <= u; the power moves
-            # it, and as both terms are below m one subtraction reduces it mod m.
-            outcome = np.searchsorted(cdf, u_outcome, side="right") + np.where(y == 1, a, b)
-            outcome -= m * (outcome >= m)
-            guess_idx = np.minimum((u_guess * len(guess_set)).astype(np.int64), len(guess_set) - 1)
-            return np.where(outcome == 0, guess_set[guess_idx], outcome)
+            u = rng.random(len(y))
+            a, b = _powers(protocol, inputs[0], inputs[1])
+            # u - b0 is exact, so every u < b0 is negative here, clips into [-1, 0)
+            # and floors to -1: outcome 0.
+            u -= b0
+            u *= scale
+            u.clip(-1.0, m - 2.0, out=u)
+            np.floor(u, out=u)
+            u += 1.0
+            outcome = u.astype(dtype)
+            # Both terms are below m, so one subtraction reduces the sum mod m.
+            outcome += a + y * (b - a)
+            outcome -= dtype.type(m) * (outcome >= m)
+            if len(fallback) > 1:
+                zero = (outcome == 0).nonzero()[0]
+                outcome[zero] = fallback[rng.integers(0, len(fallback), len(zero), dtype=dtype)]
+            return outcome
 
-    elif isinstance(protocol, DeterministicStrategy):
-        n, d = protocol.n, protocol.d
-        powers = d ** np.arange(n - 1, -1, -1)
+    else:
+        n = protocol.n
         encoder, decoders = protocol._arrays
 
         def answer(rng, inputs, y):
-            return decoders[y - 1, encoder[inputs @ powers]]
+            rank = inputs[0].astype(np.int64)
+            for row in inputs[1:]:
+                rank *= d
+                rank += row
+            return decoders[y, encoder[rank]]
 
-    else:
-        raise TypeError(f"cannot simulate {type(protocol).__name__}")
     rng = np.random.default_rng(config.seed)
     for start in range(0, config.trials, _CHUNK):
         size = min(_CHUNK, config.trials - start)
-        inputs = rng.integers(0, d, (size, n))
-        y = rng.integers(1, n + 1, size)
-        yield inputs, y, answer(rng, inputs, y)
+        inputs = rng.integers(0, d, (n, size), dtype=dtype)
+        y = rng.integers(0, n, size, dtype=np.uint8)
+        yield inputs, y, _asked(inputs, y), answer(rng, inputs, y)
 
 
 def simulate(protocol: ProtocolSpec | DeterministicStrategy, config: TrialConfig) -> Estimate:
@@ -104,8 +131,8 @@ def simulate(protocol: ProtocolSpec | DeterministicStrategy, config: TrialConfig
     Identical (protocol, config) pairs reproduce identical estimates.
     """
     successes = 0
-    for inputs, y, answers in _play(protocol, config):
-        successes += int(np.count_nonzero(answers == inputs[np.arange(len(y)), y - 1]))
+    for _, _, asked, answers in _play(protocol, config):
+        successes += int(np.count_nonzero(answers == asked))
     mean = successes / config.trials
     return Estimate(mean=mean, stderr=math.sqrt(mean * (1.0 - mean) / config.trials), trials=config.trials)
 
@@ -118,9 +145,9 @@ def answer_counts(spec: ProtocolSpec, config: TrialConfig) -> np.ndarray:
     """
     shape = (_check_spec(spec).d, spec.d, 2, spec.d)
     counts = np.zeros(math.prod(shape), dtype=np.int64)
-    for inputs, y, answers in _play(spec, config):
+    for inputs, y, _, answers in _play(spec, config):
         # One expression: a named cell index would stay alive while the next chunk is drawn.
         counts += np.bincount(
-            np.ravel_multi_index((inputs[:, 0], inputs[:, 1], y - 1, answers), shape), minlength=counts.size
+            np.ravel_multi_index((inputs[0], inputs[1], y, answers), shape), minlength=counts.size
         )
     return counts.reshape(shape)

@@ -4,9 +4,9 @@ Everything here recomputes the protocols from first principles with dense
 matrices, numpy matrix powers, explicit projectors, and numeric
 normalization, deliberately sharing no code path with the package under
 test.  Values frozen into the test modules were produced by these functions.
-The one exception is the Monte Carlo stream replay, which takes the package's
-Born row of the anchor as an argument: drawing the same outcomes needs the
-same floats.
+The one exception is the Monte Carlo stream replay, which takes the top entry
+of the package's Born row of the anchor as an argument: drawing the same
+outcomes needs the same float.
 """
 
 from __future__ import annotations
@@ -157,35 +157,68 @@ def classical_optimum_by_column_multisets(n: int, d: int) -> tuple[Fraction, tup
     return Fraction(best_hits, n * d**n), best_decoders, encoder
 
 
-def whole_row_answer_counts(
-    d: int, d_prime: int, variant: str, trials: int, seed: int, anchor_born: np.ndarray, chunk: int
+def _stream_dtype(d: int) -> type:
+    """Random stream 4's dit type: the smallest unsigned integer type that holds 2d - 1."""
+    return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if 2 * d - 1 <= np.iinfo(t).max)
+
+
+def stream_four_answer_counts(
+    d: int, d_prime: int, variant: str, trials: int, seed: int, b0: float, chunk: int
 ) -> np.ndarray:
-    """Answer histogram [x1, x2, y-1, answer] of random stream 3, sampled by whole rows.
+    """Answer histogram [x1, x2, y-1, answer] of random stream 4.
 
     Replays ``default_rng(seed)`` chunk by chunk in the stream's order: the
-    (size, 2) inputs, the questions, the outcome uniforms, the guess uniforms.
-    Each trial's anchor outcome counts the entries of the anchor's cumulative
-    Born row that are <= its uniform, the row's last entry forced to 1.0; the
-    announced outcome is that plus the asked question's power, mod d_prime.
-    ``anchor_born`` is the anchor's Born row of the sampler under test.
+    position-major (2, size) inputs, the questions 0..1, one outcome uniform u
+    per trial, and then, when the fallback set {0, d_prime, ..., d-1} has more
+    than one dit, one index into it per trial that announces 0, in trial order.
+    The anchor's outcome is 0 when u < b0, else
+    1 + min(floor((u - b0) s), d_prime - 2) with s = (d_prime - 1) / (1 - b0);
+    the announced outcome adds the asked question's power, mod d_prime.
+    ``b0`` is the top entry of the sampler's Born row of the anchor.
     """
-    cdf = np.cumsum(anchor_born)
-    cdf[-1] = 1.0
+    dtype = _stream_dtype(d)
     fallback = np.array([0] + list(range(d_prime, d)))
     counts = np.zeros((d, d, 2, d), dtype=np.int64)
     rng = np.random.default_rng(seed)
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)
-        inputs = rng.integers(0, d, (size, 2))
-        y = rng.integers(1, 3, size)
-        u_outcome = rng.random(size)
-        u_guess = rng.random(size)
-        x1, x2 = inputs[:, 0], inputs[:, 1]
+        x1, x2 = rng.integers(0, d, (2, size), dtype=dtype).astype(np.int64)
+        y = rng.integers(0, 2, size, dtype=np.uint8).astype(np.int64)
+        u = rng.random(size)
         fits1, fits2 = x1 < d_prime, x2 < d_prime
         if variant == "literal":
             fits1 = fits2 = fits1 & fits2
-        power = np.where(y == 1, np.where(fits1, x1, 0), np.where(fits2, x2, 0))
-        outcome = ((u_outcome[:, None] >= cdf).sum(axis=1) + power) % d_prime
-        guess = fallback[np.minimum((u_guess * len(fallback)).astype(np.int64), len(fallback) - 1)]
-        np.add.at(counts, (x1, x2, y - 1, np.where(outcome == 0, guess, outcome)), 1)
+        power = np.where(y == 0, np.where(fits1, x1, 0), np.where(fits2, x2, 0))
+        if d_prime == 1:
+            anchor = np.zeros(size, dtype=np.int64)
+        else:
+            s = (d_prime - 1) / (1 - b0)
+            anchor = np.where(u < b0, 0, 1 + np.minimum(np.floor((u - b0) * s), d_prime - 2)).astype(np.int64)
+        answers = (anchor + power) % d_prime
+        if len(fallback) > 1:
+            zero = np.flatnonzero(answers == 0)
+            answers[zero] = fallback[rng.integers(0, len(fallback), len(zero), dtype=dtype)]
+        np.add.at(counts, (x1, x2, y, answers), 1)
     return counts
+
+
+def stream_four_classical_successes(
+    n: int, d: int, encoder, decoders, trials: int, seed: int, chunk: int
+) -> int:
+    """Successes of a deterministic strategy played on random stream 4.
+
+    Each chunk draws the position-major (n, size) inputs and the questions
+    0..n-1, and nothing more.  ``encoder`` is indexed by the input's
+    lexicographic rank (first dit most significant), ``decoders[y]`` by the message.
+    """
+    dtype = _stream_dtype(d)
+    encoder, decoders = np.array(encoder), np.array(decoders)
+    hits = 0
+    rng = np.random.default_rng(seed)
+    for start in range(0, trials, chunk):
+        size = min(chunk, trials - start)
+        inputs = rng.integers(0, d, (n, size), dtype=dtype).astype(np.int64)
+        y = rng.integers(0, n, size, dtype=np.uint8).astype(np.int64)
+        rank = sum(inputs[j] * d ** (n - 1 - j) for j in range(n))
+        hits += int(np.count_nonzero(decoders[y, encoder[rank]] == inputs[y, np.arange(size)]))
+    return hits

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from racsim.classical import ClassicalTask, majority_identity_strategy
+from racsim.classical import ClassicalTask, DeterministicStrategy, majority_identity_strategy
 from racsim.montecarlo import _CHUNK, STREAM_VERSION, TrialConfig, answer_counts, simulate
 from racsim.quantum import (
     GatingVariant,
@@ -19,7 +19,7 @@ from racsim.quantum import (
     exact_success,
 )
 
-from oracles import whole_row_answer_counts
+from oracles import stream_four_answer_counts, stream_four_classical_successes
 
 
 def reference_protocols():
@@ -72,17 +72,40 @@ class TestReproducibility:
     @pytest.mark.parametrize("variant", list(GatingVariant))
     @pytest.mark.parametrize(
         "d, d_prime, trials",
-        [(3, 1, 20_000), (2, 2, 20_000), (4, 3, 20_000), (6, 5, 2 * _CHUNK + 3), (10, 8, 20_000), (9, 9, 20_000),
-         (70, 64, 30_000)],
+        [(3, 1, 20_000), (6, 1, 20_000), (2, 2, 20_000), (6, 2, 20_000), (4, 3, 20_000), (6, 5, 2 * _CHUNK + 3),
+         (10, 8, 20_000), (6, 6, 20_000), (9, 9, 20_000), (70, 64, 30_000), (128, 2, 20_000),
+         (128, 128, 20_000), (129, 2, 20_000), (129, 129, 20_000)],
     )
-    def test_answer_counts_replay_stream_three(self, d, d_prime, trials, variant):
-        """The sampler draws exactly the outcomes of a whole-row comparison
-        against the anchor's cumulative Born row, plus the power: the stream-3 reference."""
-        assert STREAM_VERSION == 3
+    def test_answer_counts_replay_stream(self, d, d_prime, trials, variant):
+        """The sampler draws exactly the answers of the stream-4 definition,
+        replayed plainly: uint8 dits up to d = 128, uint16 from d = 129."""
+        assert STREAM_VERSION == 4
         spec = ProtocolSpec(d, d_prime, variant)
         seed = 1000 * d + d_prime
-        expected = whole_row_answer_counts(d, d_prime, variant.value, trials, seed, _anchor_born(d_prime), _CHUNK)
+        expected = stream_four_answer_counts(d, d_prime, variant.value, trials, seed, _anchor_born(d_prime)[0], _CHUNK)
         np.testing.assert_array_equal(answer_counts(spec, TrialConfig(trials, seed)), expected)
+
+    @pytest.mark.parametrize("n, d, trials", [(1, 7, 20_000), (2, 5, 2 * _CHUNK + 3), (3, 4, 20_000), (2, 129, 20_000)])
+    def test_classical_replay_stream(self, n, d, trials):
+        """A strategy with arbitrary tables scores exactly the successes of the
+        stream-4 definition, replayed plainly."""
+        assert STREAM_VERSION == 4
+        rng = np.random.default_rng(n * d)
+        strategy = DeterministicStrategy(n, d, rng.integers(0, d, d**n), rng.integers(0, d, (n, d)))
+        seed = 1000 * n + d
+        hits = stream_four_classical_successes(n, d, strategy.encoder, strategy.decoders, trials, seed, _CHUNK)
+        assert simulate(strategy, TrialConfig(trials, seed)).mean == hits / trials
+
+
+class TestOutcomeSampling:
+    def test_anchor_born_row_is_b0_then_equal_entries(self):
+        """The closed-form inverse CDF assumes the anchor's Born row is b0
+        followed by m - 1 equal entries (1 - b0) / (m - 1).  The subtraction
+        1 - b0 cancels, so the entries sit up to 10 of their ulps (at m = 4) away."""
+        for m in [*range(2, 1025), 2**20]:
+            born = _anchor_born(m)
+            rest = (1 - born[0]) / (m - 1)
+            assert np.abs(born[1:] - rest).max() <= 16 * np.spacing(rest), m
 
 
 class TestEstimates:
@@ -118,6 +141,17 @@ class TestEstimates:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+    def test_memory_at_two_million_trials_is_a_few_narrow_chunks(self):
+        """A chunk holds uint8 dits and one float64 uniform per trial, about
+        3 MB traced; stream 3's int64 draws and selections peaked at 17 MB."""
+        tracemalloc.start()
+        try:
+            simulate(ProtocolSpec.full(6), TrialConfig(trials=2_000_000, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_memory_is_bounded_at_large_quantum_dimension(self):
         """Outcome sampling holds no (chunk x d') array: 1e5 trials at d' = 1024
@@ -163,20 +197,29 @@ class TestConvergence:
 class TestAnswerFrequencies:
     def test_chi_square_against_exact_distribution(self):
         """Sampled answer frequencies per (input, question) cell follow the
-        exact measurement-plus-guess distribution."""
-        spec = ProtocolSpec(6, 5)
-        counts = answer_counts(spec, TrialConfig(trials=1_000_000, seed=31337))
-        observed, expected = [], []
-        for x1 in range(6):
-            for x2 in range(6):
-                for y in (1, 2):
-                    cell = counts[x1, x2, y - 1]
-                    dist = answer_distribution(spec, x1, x2, y)
-                    support = dist > 1e-15
-                    observed.extend(cell[support])
-                    expected.extend(cell.sum() * dist[support])
-        _, p_value = stats.chisquare(observed, expected)
-        assert p_value > 1e-3
+        exact measurement-plus-guess distribution, under both gatings and at
+        d' = 1 (only guesses), d' = 2 and d' = d (no guesses)."""
+        specs = [
+            ProtocolSpec(6, 5),
+            ProtocolSpec(6, 5, GatingVariant.BOTH_OR_NOTHING),
+            ProtocolSpec(6, 1),
+            ProtocolSpec(6, 2),
+            ProtocolSpec.full(6),
+        ]
+        for spec in specs:
+            counts = answer_counts(spec, TrialConfig(trials=1_000_000, seed=31337))
+            observed, expected = [], []
+            for x1 in range(6):
+                for x2 in range(6):
+                    for y in (1, 2):
+                        cell = counts[x1, x2, y - 1]
+                        dist = answer_distribution(spec, x1, x2, y)
+                        support = dist > 1e-15
+                        assert not cell[~support].any(), spec
+                        observed.extend(cell[support])
+                        expected.extend(cell.sum() * dist[support])
+            _, p_value = stats.chisquare(observed, expected)
+            assert p_value > 1e-3, spec
 
     @pytest.mark.parametrize("trials", [10_000, 2 * _CHUNK + 3])
     def test_counts_total_matches_trials(self, trials):
