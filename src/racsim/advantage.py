@@ -6,11 +6,14 @@ that is d >= (r + 1)(r + 2), i.e. 4d + 1 >= (2r + 3)^2, a non-strict bound that
 ``r_max`` solves exactly as (isqrt(4d + 1) - 3) // 2.  The float expression
 floor((-3 + sqrt(4d + 5)) / 2) treats the strict bound as non-strict, so when
 4d + 5 is a perfect square (d = 11 first) it admits an r that only ties the
-classical value.  The closed forms are cross-checked at band edges only:
-p_restricted(d, r) falls as r grows and, at fixed r, the advantage grows with
-d, so an advantage at the first d of band r and none for r + 1 at its last d
-imply every row between.  ``scan_columns`` builds the verified staircase as
-int64 and float64 columns, which the CLI writes; ``scan`` returns their rows.
+classical value.  With m = d - r, the closed forms compare as m + sqrt(m)
+against d + 1, i.e. m against (r + 1)^2, so ties and near ties need no second
+test; the float closed forms are checked wherever floats separate them, at band
+edges only: p_restricted(d, r) falls as r grows and, at fixed r, the advantage
+grows with d, so an advantage at the first d of band r and none for r + 1 at
+its last d imply every row between.  ``scan_columns`` builds the verified
+staircase as int64 and float64 columns, which the CLI writes; ``scan`` returns
+their rows.
 """
 
 from __future__ import annotations
@@ -52,28 +55,23 @@ def restricted_exact_value(d: int, r: int) -> Fraction | None:
     d = check_int(d, "alphabet size d", 1)
     m = d - check_int(r, "dimensional advantage r", 0, d - 1)
     root = math.isqrt(m)
-    return Fraction(m, 2 * d) * (1 + Fraction(1, root)) if root * root == m else None
+    return Fraction(m + root, 2 * d) if root * root == m else None
 
 
 def advantage_holds(d: int, r: int) -> bool:
-    """True when encoding into dimension d - r strictly beats the classical code."""
+    """True when encoding into dimension d - r strictly beats the classical code.
+
+    Raises ``AssertionError`` when the float closed forms differ by more than
+    8 ulps of 1/2 at a non-tie and their sign disagrees with the condition."""
     d = check_int(d, "alphabet size d", 1, FLOAT_MAX)
     r = check_int(r, "dimensional advantage r", 0, d - 1)
     holds = d > r * r + 3 * r + 1
-
-    # Cross-check against the closed forms themselves: exactly in rational
-    # arithmetic when d - r is a perfect square (the only place ties occur),
-    # in floating point otherwise.  Near a band edge the gap is ~1/(4 r^3), below
-    # double resolution from d ~ 1e12 on, so within 8 ulps m + sqrt(m) > d + 1
-    # (m = d - r) is decided as m > (d + 1 - m)^2.
-    exact = restricted_exact_value(d, r)
-    if exact is not None:
-        from_forms = exact > Fraction(d + 1, 2 * d)
-    else:
-        gap, m = closed_form_restricted(d, r) - closed_form_classical(2, d), d - r
-        from_forms = gap > 0 if abs(gap) > 8 * math.ulp(0.5) else m > (d + 1 - m) ** 2
-    if from_forms != holds:
-        raise AssertionError(f"advantage condition disagrees with closed forms at d={d}, r={r}")
+    # The ties d - r = (r + 1)^2, d = 1 among them, are equal closed forms, and near
+    # a band edge the gap is ~1/(4 r^3), below double resolution from d ~ 1e12 on.
+    if d - r != (r + 1) ** 2:
+        gap = closed_form_restricted(d, r) - closed_form_classical(2, d)
+        if abs(gap) > 8 * math.ulp(0.5) and (gap > 0) != holds:
+            raise AssertionError(f"advantage condition disagrees with closed forms at d={d}, r={r}")
     return holds
 
 

@@ -46,11 +46,25 @@ class TestAdvantageHolds:
         with pytest.raises(ValueError):
             advantage_holds(5, 5)
 
-    @pytest.mark.parametrize("d", [1000003000002, 1000003000003])
+    @pytest.mark.parametrize(
+        "d",
+        [1000003000002, 1000003000003, 999999993568952, 1000000056814505, 999999999000000000, 1000000000999999999],
+    )
     def test_near_ties_below_double_resolution_are_decided_exactly(self, d):
-        # d - r is no square here, and the closed forms differ by about 1/(4 r^3) ~ 2.5e-19.
-        assert advantage_holds(d, 10**6)
-        assert not advantage_holds(d, 10**6 + 1)
+        # The first two d of band r = 10^6, and the first and last d of the bands near 10^15
+        # and 10^18; the closed forms differ by about 1/(4 r^3), 2.5e-19 at r = 10^6.
+        r = (math.isqrt(4 * d + 1) - 3) // 2
+        assert advantage_holds(d, r)
+        assert not advantage_holds(d, r + 1)
+
+    def test_wrong_closed_form_is_caught_at_a_square_that_is_no_tie(self, monkeypatch):
+        # d - r = 9 is a perfect square, but (10, 1) is no tie: the float forms are checked.
+        monkeypatch.setattr(advantage, "closed_form_restricted", lambda d, r: closed_form_restricted(d, r) - 0.2)
+        with pytest.raises(AssertionError, match="disagrees with closed forms at d=10, r=1"):
+            advantage_holds(10, 1)
+
+    def test_one_letter_alphabet_is_a_tie(self):
+        assert not advantage_holds(1, 0)
 
 
 class TestRMax:
@@ -104,6 +118,11 @@ class TestRMax:
     def test_numpy_integer_does_not_overflow(self):
         assert r_max(np.int64(2**61)) == r_max(2**61)
         assert r_max(np.int64(2**62)) == r_max(2**62)
+
+    def test_band_that_disagrees_with_the_condition_is_caught(self, monkeypatch):
+        monkeypatch.setattr(advantage, "advantage_holds", lambda d, r: True)
+        with pytest.raises(AssertionError, match="r_max = 0 disagrees with the advantage condition at d=2..2"):
+            r_max(2)
 
     @pytest.mark.parametrize("shift, d", [(-0.05, 7), (0.1, 10)], ids=["too-low", "too-high"])
     def test_wrong_closed_form_is_caught(self, monkeypatch, shift, d):

@@ -15,6 +15,7 @@ from racsim.classical import (
     ClassicalTask,
     DeterministicStrategy,
     InfeasibleSearchError,
+    _greedy_witness,
     _log10_multisets,
     _majority_messages,
     _smallest_decoder_tuple,
@@ -276,6 +277,12 @@ class TestOracle:
             assert evaluate_strategy(task, result.witness).average == pytest.approx(
                 result.optimum, abs=1e-15
             )
+
+    def test_greedy_witness_recount_is_checked(self):
+        task, identity = ClassicalTask(2, 3), np.tile(np.arange(3), (2, 1))
+        assert evaluate_strategy(task, _greedy_witness(task, identity, 12)).average == 12 / 18
+        with pytest.raises(AssertionError, match="greedy encoder scores 12, search reported 13"):
+            _greedy_witness(task, identity, 13)
 
     def test_examined_counts_whole_space(self):
         result = optimal_classical_bruteforce(ClassicalTask(2, 3))

@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, formats, determinism, exit codes."""
 
+import dataclasses
 import json
 import math
 import time
@@ -7,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from racsim import advantage, cli, quantum
+from racsim import advantage, classical, cli, quantum
 from racsim.classical import majority_identity_strategy, strategy_to_text
 from racsim.classical import ClassicalTask, DeterministicStrategy
 from racsim.cli import main
@@ -150,6 +151,13 @@ class TestScan:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: enumeration ") and "disagrees with the closed form" in err
+
+    def test_band_cross_check_failure_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(advantage, "advantage_holds", lambda d, r: True)
+        code, out, err = run_cli(capsys, "scan", "--dmax", "6")
+        assert code == 1
+        assert out == ""
+        assert err == "error: r_max = 0 disagrees with the advantage condition at d=2..5\n"
 
 
 class TestTableLayout:
@@ -417,3 +425,17 @@ class TestVerify:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "disagrees with the closed form" in err
+
+    def test_oracle_mismatch_is_reported(self, capsys, monkeypatch):
+        search = classical.optimal_classical_bruteforce
+
+        def off_by_a_hundredth(task):
+            result = search(task)
+            return dataclasses.replace(result, optimum=result.optimum + 0.01)
+
+        monkeypatch.setattr(classical, "optimal_classical_bruteforce", off_by_a_hundredth)
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        lines = out.splitlines()
+        assert "FAIL  oracle optimum vs classical closed forms  [(2,2) 0.76!=0.75; (2,3) " in out
+        assert lines[-1] == "7/8 checks passed"

@@ -208,7 +208,7 @@ class TestAnswerFrequencies:
         ]
         for spec in specs:
             counts = answer_counts(spec, TrialConfig(trials=1_000_000, seed=31337))
-            observed, expected = [], []
+            observed, expected, cells = [], [], 0
             for x1 in range(6):
                 for x2 in range(6):
                     for y in (1, 2):
@@ -218,7 +218,9 @@ class TestAnswerFrequencies:
                         assert not cell[~support].any(), spec
                         observed.extend(cell[support])
                         expected.extend(cell.sum() * dist[support])
-            _, p_value = stats.chisquare(observed, expected)
+                        cells += 1
+            # Each cell's expected counts are scaled to its own total: one constraint per cell.
+            _, p_value = stats.chisquare(observed, expected, ddof=cells - 1)
             assert p_value > 1e-3, spec
 
     @pytest.mark.parametrize("trials", [10_000, 2 * _CHUNK + 3])
