@@ -14,12 +14,13 @@ announces 0; a classical strategy draws nothing more and looks its answer up
 in its tables.  That order, with the chunk size, is random stream
 ``STREAM_VERSION``.  Memory is set by the chunk, not by the trial count.
 
-The anchor's Born row, the one O(d') vector exact evaluation reads for both
-questions, is b0 followed by d' - 1 equal entries, so an outcome uniform u is
-inverted in closed form: outcome 0 if u < b0, else 1 + min(floor((u - b0) s),
-d' - 2) with the float s = (d' - 1) / (1 - b0).  The outcome then moves
-by the asked question's power mod d', as Shift^a Clock^b rolls the two
-distributions by a and b; no state collapse is simulated.  That is stream 4.
+The anchor's Born row, which exact evaluation reads for both questions as
+two weights, is b0 followed by d' - 1 equal entries, so an outcome uniform u
+is inverted in closed form from b0 alone: outcome 0 if u < b0, else
+1 + min(floor((u - b0) s), d' - 2) with the float s = (d' - 1) / (1 - b0).
+The outcome then moves by the asked question's power mod d', as Shift^a
+Clock^b rolls the two distributions by a and b; no state collapse is
+simulated, and nothing of size d or d' is built.  That is stream 4.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import DeterministicStrategy
-from .quantum import ProtocolSpec, _anchor_born, _check_spec, _guess_rule, _powers
+from .quantum import ProtocolSpec, _anchor_born, _check_spec, _powers
 from .report import check_int
 
 #: Version of the seeded variate stream; it changes whenever a seed would
@@ -76,16 +77,16 @@ def _play(protocol, config: TrialConfig) -> Iterator[tuple[np.ndarray, ...]]:
     of at most ``_CHUNK`` trials."""
     if not isinstance(protocol, (ProtocolSpec, DeterministicStrategy)):
         raise TypeError(f"cannot simulate {type(protocol).__name__}")
-    d = protocol.d
+    d = check_int(protocol.d, "sampled alphabet size d", 1, 2**63)
     # The smallest unsigned type holding 2d - 1: an outcome plus a power cannot wrap.
     dtype = np.min_scalar_type(2 * d - 1)
     if isinstance(protocol, ProtocolSpec):
         n, m = 2, protocol.d_prime
-        # Read from the O(d') row, whose allocation refuses a dimension too large to play.
         b0 = _anchor_born(m)[0]
         # The row past b0 holds m - 1 equal entries; at m = 1, b0 = 1 and every outcome is 0.
         scale = (m - 1) / (1 - b0) if m > 1 else 0.0
-        fallback = _guess_rule(protocol)[0]
+        # Outcome 0 names 0 or a dit from m on, d - m + 1 in all.
+        fallbacks = d - m + 1
 
         def answer(rng, inputs, y):
             u = rng.random(len(y))
@@ -101,9 +102,11 @@ def _play(protocol, config: TrialConfig) -> Iterator[tuple[np.ndarray, ...]]:
             # Both terms are below m, so one subtraction reduces the sum mod m.
             outcome += a + y * (b - a)
             outcome -= dtype.type(m) * (outcome >= m)
-            if len(fallback) > 1:
+            if fallbacks > 1:
                 zero = (outcome == 0).nonzero()[0]
-                outcome[zero] = fallback[rng.integers(0, len(fallback), len(zero), dtype=dtype)]
+                pick = rng.integers(0, fallbacks, len(zero), dtype=dtype)
+                # Pick 0 names the dit 0, pick k >= 1 the dit m - 1 + k.
+                outcome[zero] = pick + dtype.type(m - 1) * (pick > 0)
             return outcome
 
     else:

@@ -14,12 +14,14 @@ distinguish from 0.
 Every encoded state is Shift^a Clock^b on the anchor, so each measurement
 sees the anchor's Born distribution in its decoding basis rolled by one
 power; the Fourier basis swaps the anchor's two terms, so in both bases that
-is |anchor|^2.  A cell's success depends only on the asked dit x and on
-whether its power is gated off: the chance the guess after x's outcome names
-x, times the top entry b0 of |anchor|^2 (a power rolls b0 onto that outcome)
-or, gated off, times the entry at that outcome.  Exact evaluation reads these
-two length-d vectors, fills the d x d x 2 table from them, and takes the
-average and worst case from the vectors.  The averages also have closed forms.
+is |anchor|^2, which holds two values: b0 at index 0 and b1 at the other
+d_prime - 1.  A cell's success depends only on the asked dit x and on whether
+its power is gated off: the chance the guess after x's outcome names x, times
+b0 (a power rolls b0 onto that outcome) or, gated off, times the weight at
+that outcome, b1 unless it is 0.  Exact evaluation fills two length-d vectors
+from the two weights, broadcasts the d x d x 2 table from them, and takes the
+average and worst case from the weights and vectors.  The averages also have
+closed forms.
 """
 
 from __future__ import annotations
@@ -127,16 +129,6 @@ def _check_spec(spec) -> ProtocolSpec:
     return spec
 
 
-def _guess_rule(spec: ProtocolSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The dits guessed uniformly after outcome 0, and per dit x the one outcome
-    that can announce x (x for 1 <= x < d_prime, else 0) and the chance it does.
-    """
-    fallback = np.concatenate(([0], np.arange(spec.d_prime, spec.d)))
-    outcome, chance = np.arange(spec.d), np.ones(spec.d)
-    outcome[fallback], chance[fallback] = 0, 1.0 / len(fallback)
-    return fallback, outcome, chance
-
-
 def guess_from_outcome(outcome: int, spec: ProtocolSpec) -> GuessDistribution:
     """Answer distribution after observing one measurement outcome.
 
@@ -148,55 +140,72 @@ def guess_from_outcome(outcome: int, spec: ProtocolSpec) -> GuessDistribution:
     check_int(outcome, "outcome", 0, _check_spec(spec).d_prime - 1)
     if outcome >= 1:
         return GuessDistribution(((outcome, 1.0),))
-    fallback, _, chance = _guess_rule(spec)
-    return GuessDistribution(tuple(zip(fallback.tolist(), chance[fallback].tolist())))
+    # np.empty refuses a size past numpy's limits, where np.arange can return an empty array.
+    fallback = np.empty(spec.d - spec.d_prime + 1, dtype=np.int64)
+    fallback[0], fallback[1:] = 0, np.arange(spec.d_prime, spec.d)
+    return GuessDistribution(tuple((answer, 1.0 / len(fallback)) for answer in fallback.tolist()))
 
 
-def _anchor_born(m: int) -> np.ndarray:
-    """Born distribution |anchor_l|^2 of the anchor in either decoding basis:
-    <f_l|0> = 1/sqrt(m) and <f_l|e_0> = delta_l0, so <f_l|anchor> = <l|anchor>."""
-    return np.abs(qudit.anchor_state(m)) ** 2
+def _anchor_born(m: int) -> tuple[float, float]:
+    """The anchor's Born weights in either decoding basis: |anchor|^2 is b0 at index 0
+    and b1 at the other m - 1.  Each takes the IEEE steps :func:`qudit.anchor_state`
+    takes for its entry (numpy divides by the norm as a product with its
+    reciprocal), so both equal that vector's |.|^2 bit for bit."""
+    s = 1.0 / math.sqrt(check_int(m, "quantum dimension d_prime", 1, FLOAT_MAX))
+    scale = 1.0 / math.sqrt(2.0 + 2.0 / math.sqrt(m))
+    a0, a1 = (s + 1.0) * scale, s * scale
+    return a0 * a0, a1 * a1
 
 
 def answer_distribution(spec: ProtocolSpec, x1: int, x2: int, y: int) -> np.ndarray:
-    """Exact distribution of the announced answer for one (input, question) cell."""
+    """Exact distribution of the announced answer for one (input, question) cell.
+    The outcome equal to the asked power has weight b0 and each other one b1;
+    outcomes 1..d_prime-1 are announced as themselves, and outcome 0's weight is
+    shared evenly by 0 and the dits d_prime..d-1."""
     check_int(x1, "x1", 0, _check_spec(spec).d - 1)
     check_int(x2, "x2", 0, spec.d - 1)
     power = _powers(spec, x1, x2)[check_int(y, "question index y", 1, 2) - 1]
-    _, outcome, chance = _guess_rule(spec)
-    return _anchor_born(spec.d_prime)[(outcome - power) % spec.d_prime] * chance
+    b0, b1 = _anchor_born(spec.d_prime)
+    dist = np.full(spec.d, b1)
+    dist[power] = b0
+    dist[0] *= 1.0 / (spec.d - spec.d_prime + 1)
+    dist[spec.d_prime :] = dist[0]
+    return dist
 
 
 def exact_success(spec: ProtocolSpec) -> SuccessReport:
     """Enumerate the whole game and report exact success probabilities.
 
     ``fit[x]`` is the chance of announcing the asked dit x when the other dit
-    fits in ``d_prime`` (b0 times x's guess chance), ``gated[x]`` (literal
-    gating only) when it does not (the entry at x's outcome in b0's place);
-    the (d, d, 2) table is broadcast from them.  The average is their correctly
+    fits in ``d_prime``, ``gated[x]`` (literal gating only) when it does not.
+    Both are b0 / (d - d_prime + 1) at 0 and at the dits from d_prime on, where
+    outcome 0's guess names x; in between ``fit`` is b0 and ``gated`` b1.  The
+    (d, d, 2) table is broadcast from them.  The average is their correctly
     rounded sums weighted by how often the other dit fits, and the worst case
     the least block sum of their minima: float addition is monotone, so that is
     the table's least cell bit for bit.  The output is allocated first, so a
-    game too large for memory fails before any table is built.
+    game too large for memory fails before any weight is computed.
     """
     per_input = np.empty((_check_spec(spec).d, spec.d, 2))
     d, m = spec.d, spec.d_prime
-    born = _anchor_born(m)
-    _, outcome, chance = _guess_rule(spec)
-    fit = born[0] * chance
+    b0, b1 = _anchor_born(m)
+    # Outcome 0's guess names 0 and each dit from m on with chance 1 / (d - m + 1).
+    shared = b0 * (1.0 / (d - m + 1))
+    fit = np.full(d, b0)
+    fit[0] = fit[m:] = shared
     if spec.variant is GatingVariant.INDEPENDENT or m == d:
         per_input[..., 0], per_input[..., 1] = fit[:, None], fit
-        # the least cell is min fit + min fit, and halving that is exact
-        return SuccessReport(math.fsum(fit.tolist()) / d, float(fit.min()), per_input)
+        # shared <= b0 is fit's least entry: the least cell is shared + shared, halved exactly
+        return SuccessReport(math.fsum(fit.tolist()) / d, shared, per_input)
     # The fitting dits F are 0..m-1 and the others N are m..d-1; fit and gated agree on N.
-    gated = born[outcome] * chance
+    gated = fit.copy()
+    gated[1:m] = b1
     per_input[:, :m, 0], per_input[:, m:, 0] = fit[:, None], gated[:, None]
     per_input[:m, :, 1], per_input[m:, :, 1] = fit, gated
-    # Blocks (x1, x2) in FxF, FxN (NxF sums the same), NxN.
-    least_f, least_n = fit[:m].min(), fit[m:].min()
-    worst = min(least_f + least_f, gated[:m].min() + least_n, least_n + least_n) / 2
+    # The least cell of blocks FxF and NxN is shared + shared; of FxN and NxF, gated's least on F + shared.
+    worst = ((min(shared, b1) if m > 1 else shared) + shared) / 2
     average = (m * math.fsum(fit.tolist()) + (d - m) * math.fsum(gated.tolist())) / (d * d)
-    return SuccessReport(average, float(worst), per_input)
+    return SuccessReport(average, worst, per_input)
 
 
 def _restricted_value(d, m):

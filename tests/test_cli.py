@@ -89,11 +89,11 @@ class TestExact:
         assert err.splitlines() == ["error: Maximum allowed dimension exceeded"]
 
     def test_simulated_dimension_past_numpy_limits_is_a_usage_error(self, capsys):
-        # The anchor is allocated before it would take sqrt of a 401-digit int.
+        # Sampling refuses a d whose 2d - 1 needs more than 64 bits, before any sqrt is taken.
         code, out, err = run_cli(capsys, "simulate", "--task", "full", "--d", str(10**400))
         assert code == 2
         assert out == ""
-        assert err.splitlines() == ["error: Maximum allowed dimension exceeded"]
+        assert err.splitlines() == [f"error: sampled alphabet size d must be in 1..{2**63}, got {10**400}"]
 
 
 class TestScan:

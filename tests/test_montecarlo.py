@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from racsim import qudit
 from racsim.classical import ClassicalTask, DeterministicStrategy, majority_identity_strategy
 from racsim.montecarlo import _CHUNK, STREAM_VERSION, TrialConfig, answer_counts, simulate
 from racsim.quantum import (
@@ -103,9 +104,11 @@ class TestOutcomeSampling:
         followed by m - 1 equal entries (1 - b0) / (m - 1).  The subtraction
         1 - b0 cancels, so the entries sit up to 10 of their ulps (at m = 4) away."""
         for m in [*range(2, 1025), 2**20]:
-            born = _anchor_born(m)
-            rest = (1 - born[0]) / (m - 1)
-            assert np.abs(born[1:] - rest).max() <= 16 * np.spacing(rest), m
+            born = np.abs(qudit.anchor_state(m)) ** 2
+            b0, b1 = _anchor_born(m)
+            assert born[0] == b0 and np.all(born[1:] == b1), m
+            rest = (1 - b0) / (m - 1)
+            assert abs(b1 - rest) <= 16 * np.spacing(rest), m
 
 
 class TestEstimates:
@@ -164,16 +167,28 @@ class TestEstimates:
             tracemalloc.stop()
         assert peak < 100e6
 
-    def test_memory_is_linear_in_quantum_dimension(self):
-        """One O(d') row is all the sampler keeps: at d' = 2^20 a rolled
-        (2, d', d') table would need 16 TiB."""
+    def test_memory_is_flat_in_quantum_dimension(self):
+        """The sampler reads two Born weights, not the anchor's O(d') row, which
+        at d' = 2^20 set a 32 MB peak; the stream, and so the mean, is the same."""
         tracemalloc.start()
         try:
-            simulate(ProtocolSpec.full(2**20), TrialConfig(trials=10**5, seed=0))
+            estimate = simulate(ProtocolSpec.full(2**20), TrialConfig(trials=10**5, seed=3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64e6
+        assert peak < 8e6
+        assert estimate.mean == 0.49756
+
+    def test_quantum_dimension_past_any_table_is_sampled(self):
+        """At d = 2^40 no Born row could be allocated; the two weights need none."""
+        estimate = simulate(ProtocolSpec.full(2**40), TrialConfig(trials=10**5, seed=40))
+        assert abs(estimate.mean - closed_form_full(2**40)) <= 5 * estimate.stderr
+
+    def test_alphabet_past_sixty_three_bits_is_refused(self):
+        """Dits are drawn in uint64 and an outcome plus a power reaches 2d - 2, so d stops at 2^63."""
+        assert 0.0 <= simulate(ProtocolSpec.full(2**63), TrialConfig(trials=100, seed=1)).mean <= 1.0
+        with pytest.raises(ValueError, match=rf"sampled alphabet size d must be in 1\.\.{2**63}, got {2**63 + 1}"):
+            simulate(ProtocolSpec.full(2**63 + 1), TrialConfig(trials=100, seed=1))
 
 
 class TestConvergence:

@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from racsim import qudit
+from racsim import quantum, qudit
 from racsim.advantage import r_max
 from racsim.quantum import (
     GatingVariant,
@@ -169,6 +169,12 @@ class TestGuessFromOutcome:
         assert len(dist.support) == 10**5
         assert math.fsum(p for _, p in dist.support) == 1.0
 
+    @pytest.mark.parametrize("d", [2**63 + 4, 10**400])
+    def test_fallback_set_past_numpy_limits_is_refused_by_size(self, d):
+        """np.arange(5, 2**63 + 4) is an empty array; the set is allocated with np.empty first."""
+        with pytest.raises(ValueError, match="Maximum allowed dimension exceeded"):
+            guess_from_outcome(0, ProtocolSpec(d, 5))
+
     def test_guess_distribution_refuses_a_total_of_one_half(self):
         with pytest.raises(ValueError, match="guess probabilities must sum to 1, got 0.5$"):
             GuessDistribution(((0, 0.5),))
@@ -243,10 +249,9 @@ class TestExactSuccess:
 
     @pytest.mark.parametrize("d", [2**40, 10**400])
     def test_oversized_game_fails_before_any_table(self, d, monkeypatch):
-        """The (d, d, 2) output is allocated first, so numpy refuses it before the anchor is built."""
+        """The (d, d, 2) output is allocated first, so numpy refuses it before the Born weights are read."""
         calls = []
-        anchor_state = qudit.anchor_state
-        monkeypatch.setattr(qudit, "anchor_state", lambda dim: calls.append(dim) or anchor_state(dim))
+        monkeypatch.setattr(quantum, "_anchor_born", lambda m: calls.append(m) or _anchor_born(m))
         with pytest.raises(ValueError):
             exact_success(ProtocolSpec.full(d))
         assert calls == []
@@ -339,7 +344,15 @@ class TestSeparableEvaluation:
 def rolled_born_table(m):
     """T[p, l]: the anchor's Born distribution rolled by power p, the same in both bases."""
     rolls = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m  # [p, l] -> l - p
-    return _anchor_born(m)[rolls]
+    return (np.abs(qudit.anchor_state(m)) ** 2)[rolls]
+
+
+def born_row(m):
+    """The length-m row the weights (b0, b1) stand for: b0, then m - 1 copies of b1."""
+    b0, b1 = _anchor_born(m)
+    row = np.full(m, b1)
+    row[0] = b0
+    return row
 
 
 def reference_per_input(spec):
@@ -370,12 +383,21 @@ class TestBitIdentity:
                     for y, power in ((1, a), (2, b)):
                         np.testing.assert_array_equal(answer_distribution(spec, x1, x2, y), answers[power])
 
+    def test_born_weights_are_the_anchor_vector_squared(self):
+        """(b0, b1) take the anchor's IEEE steps, so they equal |anchor|^2 bit for bit."""
+        for m in [*range(1, 301), 512, 1024, 2**20]:
+            born = np.abs(qudit.anchor_state(m)) ** 2
+            b0, b1 = _anchor_born(m)
+            assert type(b0) is float and type(b1) is float
+            assert b0 == born[0], m
+            assert np.all(born[1:] == b1), m
+
     def test_anchor_computational_distribution_matches_identity_measurement(self):
-        """|anchor|^2 is, bit for bit, the Born rule in the identity basis it replaced."""
+        """The weights give, bit for bit, the Born rule in the identity basis they replaced."""
         for m in [*range(1, 300), 512, 1024]:
             anchor = qudit.anchor_state(m)
             expected = qudit.born_distribution(anchor, qudit.computational_basis(m))
-            np.testing.assert_array_equal(_anchor_born(m), expected)
+            np.testing.assert_array_equal(born_row(m), expected)
 
     def test_anchor_fourier_distribution_equals_computational_one(self):
         """The Fourier basis swaps |0> and the uniform vector, so the anchor's two distributions agree."""
@@ -383,7 +405,7 @@ class TestBitIdentity:
             anchor = qudit.anchor_state(m)
             for basis in (qudit.fourier_basis(m), qudit.computational_basis(m)):
                 expected = qudit.born_distribution(anchor, basis)
-                np.testing.assert_allclose(_anchor_born(m), expected, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(born_row(m), expected, rtol=0, atol=1e-14)
 
     def test_hot_paths_build_no_fourier_basis(self, monkeypatch):
         def refuse(dim):
