@@ -85,8 +85,6 @@ def _play(protocol, config: TrialConfig) -> Iterator[tuple[np.ndarray, ...]]:
         b0 = _anchor_born(m)[0]
         # The row past b0 holds m - 1 equal entries; at m = 1, b0 = 1 and every outcome is 0.
         scale = (m - 1) / (1 - b0) if m > 1 else 0.0
-        # Outcome 0 names 0 or a dit from m on, d - m + 1 in all.
-        fallbacks = d - m + 1
 
         def answer(rng, inputs, y):
             u = rng.random(len(y))
@@ -102,9 +100,9 @@ def _play(protocol, config: TrialConfig) -> Iterator[tuple[np.ndarray, ...]]:
             # Both terms are below m, so one subtraction reduces the sum mod m.
             outcome += a + y * (b - a)
             outcome -= dtype.type(m) * (outcome >= m)
-            if fallbacks > 1:
+            if m < d:  # outcome 0 names 0 or one of the dits m..d-1, uniformly
                 zero = (outcome == 0).nonzero()[0]
-                pick = rng.integers(0, fallbacks, len(zero), dtype=dtype)
+                pick = rng.integers(0, d - m + 1, len(zero), dtype=dtype)
                 # Pick 0 names the dit 0, pick k >= 1 the dit m - 1 + k.
                 outcome[zero] = pick + dtype.type(m - 1) * (pick > 0)
             return outcome
