@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .report import FLOAT_MAX, SuccessReport, check_int, check_weight
+from .report import FLOAT_MAX, SuccessReport, check_int, check_weight, text_rows
 
 #: Column-multiset budget below which the oracle runs without an override.
 #: Covers (n=2, d<=6) at ~4.5M, (n=3, d<=4) at ~766k and (n<=5, d=3) at ~2.4M.
@@ -39,9 +39,6 @@ DEFAULT_TUPLE_BUDGET = 10_000_000
 #: gathered by level; a block holds at least one row, so above 2048 columns it
 #: is up to count**2 cells.
 _BLOCK_CELLS = 1 << 22
-
-#: Encoder lines the text writer formats at once.
-_TEXT_ROWS = 1 << 12
 
 #: Bits above which the oracle's multiset count is not formed: math.comb takes
 #: 2 s at (n=2, d=10^5), minutes at d=10^6, and overflows past d = 2^63 - 1.
@@ -332,16 +329,10 @@ def strategy_to_text(strategy: DeterministicStrategy) -> str:
     message to the answer for questions y = 1..n.
     """
     n, d = strategy.n, strategy.d
-    # Row v is "v " (a dit), row d + v is "v\n" (a message), zero-padded to one width.
-    table = np.array([f"{v}{end}".encode() for end in " \n" for v in range(d)]).view(np.uint8).reshape(2 * d, -1)
-    inputs, messages = all_inputs(n, d), strategy._arrays[0]
-    chunks = [f"{n} {d}\n"]
-    # Written a chunk of lines at a time, so no table holds every encoder line's cells.
-    for top in range(0, d**n, _TEXT_ROWS):
-        cells = np.vstack((inputs[:, top : top + _TEXT_ROWS], messages[top : top + _TEXT_ROWS] + d)).T
-        chunks.append(table.take(cells, axis=0)[(table != 0).take(cells, axis=0)].tobytes().decode())
-    chunks += (f"{m} {a}\n" for t in strategy.decoders for m, a in enumerate(t))
-    return "".join(chunks)
+    messages, decoders = strategy._arrays
+    encoder_lines = text_rows("%s " * n + "%s\n", [*all_inputs(n, d), messages], str)
+    decoder_lines = text_rows("%s %s\n", [np.tile(np.arange(d), n), decoders.ravel()], str)
+    return f"{n} {d}\n{encoder_lines}{decoder_lines}"
 
 
 def strategy_from_text(text: str) -> DeterministicStrategy:

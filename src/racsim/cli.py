@@ -14,7 +14,7 @@ recording the tool version, the parameters, and whether each value came from
 a closed form or an enumeration.  They are laid out byte for byte as
 ``json.dumps(report, indent=2)`` lays them out, but written a field at a time.
 Every table (``exact``'s ``per_input`` and ``scan``'s ``rows``) is written from
-its columns one row at a time by :func:`_rows`, from one %-template per table
+its columns by :func:`racsim.report.text_rows`, from one %-template per table
 and format; every other field is written by ``json.dumps`` itself.
 
 Exit status: 0 on success, 1 on failed verification (including an internal
@@ -30,7 +30,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
 from fractions import Fraction
@@ -38,6 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, advantage, classical, montecarlo, quantum
+from .report import text_rows
 
 OUTPUT_DIR_ENV = "RACSIM_OUTPUT_DIR"
 
@@ -52,11 +53,11 @@ class Report:
 
     ``parameters`` and ``sources`` (where each value came from) make up the
     JSON provenance; ``fields`` are the other JSON fields, in order.  A
-    :class:`_Table` field is written one row at a time (:func:`_json_field`),
+    :class:`_Table` field is written by :func:`~racsim.report.text_rows`,
     any other field by ``json.dumps``.  Text output shows the parameters or
     fields named by ``text_keys`` as ``key: value`` lines, skipping None, then
-    the lines ``table`` returns; it is called only for text, so no other
-    format renders them.  A CSV report is its one :class:`_Table` field,
+    the text ``table`` returns; it is called only for text, so no other
+    format renders it.  A CSV report is its one :class:`_Table` field,
     headed by that table's ``keys``.  ``status`` is the exit status.
     """
 
@@ -65,7 +66,7 @@ class Report:
     sources: dict = field(default_factory=dict)
     fields: dict = field(default_factory=dict)
     text_keys: tuple[str, ...] = ()
-    table: Callable[[], Iterable[str]] = tuple
+    table: Callable[[], str] = str
     status: int = 0
 
 
@@ -83,28 +84,6 @@ def _text(value) -> str:
     return format(value, ".7g") if isinstance(value, float) else str(value)
 
 
-def _column_text(column, float_text: Callable[[float], str]) -> list[str]:
-    """Each entry of ``column`` as ``str`` writes an integer or ``float_text`` a
-    finite float; any other entry is refused.  Each distinct value is rendered
-    once."""
-    column = np.asarray(column)
-    if column.dtype == np.float64 and np.isfinite(column).all():
-        # distinct bit patterns, so 0.0 and -0.0 stay apart
-        distinct, index = np.unique(column.view(np.int64), return_inverse=True)
-        distinct, render = distinct.view(np.float64), float_text
-    elif column.dtype.kind in "iu":
-        (distinct, index), render = np.unique(column, return_inverse=True), str
-    else:
-        raise ValueError(f"a table column must hold integers or finite floats, got {column.dtype} values")
-    text = list(map(render, distinct.tolist()))
-    return list(map(text.__getitem__, index.tolist()))
-
-
-def _rows(template: str, columns: list, float_text: Callable[[float], str]) -> Iterable[str]:
-    """``template % row`` for each row of ``columns``, every value written as a string by :func:`_column_text`."""
-    return map(template.__mod__, zip(*(_column_text(column, float_text) for column in columns)))
-
-
 _SLOT = "\0"  # a placeholder value: json.dumps writes it as "\u0000", which no key or number contains
 
 
@@ -116,9 +95,9 @@ def _json_field(value) -> str:
     columns = value.columns
     row = dict.fromkeys(value.keys, _SLOT) if value.keys else [_SLOT] * len(columns)
     layout = json.dumps(row, indent=2).replace("%", "%%").replace(json.dumps(_SLOT), "%s")
-    # float.__repr__ is how json writes a float; _column_text gives it Python floats only.
-    body = ",\n".join(_rows("    " + layout.replace("\n", "\n    "), columns, float.__repr__))
-    return f"[\n{body}\n  ]" if body else "[]"
+    # float.__repr__ is how json writes a float; text_rows gives it Python floats only.
+    body = text_rows("    " + layout.replace("\n", "\n    ") + ",\n", columns, float.__repr__)
+    return f"[\n{body[:-2]}\n  ]"
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -137,17 +116,18 @@ def _render(report: Report, args: argparse.Namespace) -> None:
     if args.format == "json":
         provenance = {"tool": "racsim", "version": __version__, "command": report.command,
                       "parameters": report.parameters, "values": report.sources}
-        members = [f"{json.dumps(key)}: {_json_field(value)}"
-                   for key, value in {"provenance": provenance, **report.fields}.items()]
-        text = "{\n  " + ",\n  ".join(members) + "\n}\n"
+        # one join, as a table field can run to tens of megabytes
+        members = [piece for key, value in {"provenance": provenance, **report.fields}.items()
+                   for piece in (",\n  ", json.dumps(key), ": ", _json_field(value))]
+        text = "".join(["{\n  ", *members[1:], "\n}\n"])
     elif args.format == "csv":
         (table,) = [value for value in report.fields.values() if isinstance(value, _Table)]
-        rows = _rows(",".join(["%s"] * len(table.keys)), table.columns, _text)
-        text = "\n".join([",".join(table.keys), *rows]) + "\n"
+        template = ",".join(["%s"] * len(table.keys)) + "\n"
+        text = ",".join(table.keys) + "\n" + text_rows(template, table.columns, _text)
     else:
         shown = {**report.parameters, **report.fields}
-        lines = [f"{key}: {_text(shown[key])}" for key in report.text_keys if shown[key] is not None]
-        text = "\n".join([*lines, *report.table()]) + "\n"
+        lines = [f"{key}: {_text(shown[key])}\n" for key in report.text_keys if shown[key] is not None]
+        text = "".join(lines) + report.table()
     _emit(text, args.output)
 
 
@@ -184,14 +164,14 @@ def cmd_exact(args: argparse.Namespace) -> Report:
             "per_input": _Table(cells),
         },
         text_keys=(*parameters, "average", "worst_case", "closed_form"),
-        table=lambda: ["per-input success (x1 x2 y p):", *_rows("%s %s %s %s", cells, _text)],
+        table=lambda: "per-input success (x1 x2 y p):\n" + text_rows("%s %s %s %s\n", cells, _text),
     )
 
 
 # ------------------------------------------------------------------ scan ---
 
 _SCAN_COLUMNS = ("d", "dprime", "r_max", "p_classical", "p_quantum_full", "p_quantum_restricted", "ratio")
-_SCAN_TEXT_ROW = "%4s %6s %5s %11s %11s %11s %11s"
+_SCAN_TEXT_ROW = "%4s %6s %5s %11s %11s %11s %11s\n"
 
 
 def cmd_scan(args: argparse.Namespace) -> Report:
@@ -206,8 +186,8 @@ def cmd_scan(args: argparse.Namespace) -> Report:
             "p_quantum_restricted": f"formula, enumeration-verified for d <= {advantage.VERIFY_DMAX}",
         },
         fields={"rows": _Table(columns, _SCAN_COLUMNS)},
-        table=lambda: [_SCAN_TEXT_ROW % ("d", "dprime", "r_max", "classical", "full", "restricted", "ratio"),
-                       *_rows(_SCAN_TEXT_ROW, columns, _text)],
+        table=lambda: (_SCAN_TEXT_ROW % ("d", "dprime", "r_max", "classical", "full", "restricted", "ratio")
+                       + text_rows(_SCAN_TEXT_ROW, columns, _text)),
     )
 
 
@@ -254,7 +234,7 @@ def cmd_oracle(args: argparse.Namespace) -> Report:
             "witness": _strategy_fields(result.witness),
         },
         text_keys=("n", "d", "optimum", "strategies_examined", "closed_form"),
-        table=lambda: ["witness:", *witness_text.splitlines()],
+        table=lambda: "witness:\n" + witness_text,
     )
 
 
@@ -360,10 +340,10 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
 
 def cmd_verify(args: argparse.Namespace) -> Report:
     checks = _verify_checks()
-    lines = [f"{'PASS' if ok else 'FAIL'}  {name}  [{detail}]" for name, ok, detail in checks]
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name}  [{detail}]\n" for name, ok, detail in checks]
     failed = sum(1 for _, ok, _ in checks if not ok)
-    lines.append(f"{len(checks) - failed}/{len(checks)} checks passed")
-    return Report("verify", {}, table=lambda: lines, status=_EXIT_VERIFY_FAILED if failed else 0)
+    lines.append(f"{len(checks) - failed}/{len(checks)} checks passed\n")
+    return Report("verify", {}, table=lambda: "".join(lines), status=_EXIT_VERIFY_FAILED if failed else 0)
 
 
 # ------------------------------------------------------------------ main ---

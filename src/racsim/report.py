@@ -1,12 +1,17 @@
-"""Success bookkeeping and argument checks shared by every module."""
+"""Success bookkeeping, argument checks and the writer of every table racsim prints."""
 
 from __future__ import annotations
 
 import math
 import numbers
+import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+
+#: Rows :func:`text_rows` gathers at once.
+_CHUNK_ROWS = 1 << 12
 
 #: Upper bound for a size the closed forms convert to float; past it they would raise OverflowError.
 FLOAT_MAX = float(np.finfo(float).max)
@@ -54,3 +59,44 @@ def check_weight(w, name: str) -> None:
     """Reject ``w`` with ``ValueError`` unless it is a finite nonnegative real number (not bool)."""
     if isinstance(w, bool) or not isinstance(w, numbers.Real) or not (math.isfinite(w) and w >= 0):
         raise ValueError(f"{name} must be finite nonnegative real numbers, got {w!r}")
+
+
+def text_rows(template: str, columns: list, float_text: Callable[[float], str]) -> str:
+    """``"".join(template % row for row in zip(*columns))``, with ``%%`` and a ``%s`` or ``%Ns`` field
+    per column, writing integers with ``str`` and finite float64 values with ``float_text``; any other column
+    is refused with ``ValueError``.  Each column's distinct values are written once, as ASCII, into
+    a zero-padded byte table, and rows are gathered from the tables ``_CHUNK_ROWS`` at a time."""
+    escaped = template.replace("%%", "\0")  # the zero byte is written as "%"
+    widths, texts = re.findall(r"%(\d*)s", escaped), re.split(r"%\d*s", escaped)
+    tables, indices = zip(*map(_value_table, columns, widths, [float_text] * len(columns)))
+    texts = [np.array(text.replace("\0", "%").encode()) for text in texts]  # "" is one zero byte
+    row = np.dtype([("", field.dtype) for field in (*sum(zip(texts, tables), ()), texts[-1])])
+    count = len(indices[0])
+    cells = np.empty(min(count, _CHUNK_ROWS), row)
+    for name, text in zip(row.names[::2], texts):
+        cells[name] = text  # the template's text, once; the values are written chunk by chunk
+    chunks = []
+    for top in range(0, count, _CHUNK_ROWS):
+        rows = cells[: count - top]
+        for name, table, index in zip(row.names[1::2], tables, indices):
+            rows[name] = table.take(index[top : top + _CHUNK_ROWS])
+        chunks.append(rows.tobytes().translate(None, b"\0").decode())
+    return "".join(chunks)
+
+
+def _value_table(column, width: str, float_text: Callable[[float], str]) -> tuple[np.ndarray, np.ndarray]:
+    """(table, index): ``table[index[k]]`` is ``f"%{width}s" % column[k]``, each distinct value written once."""
+    column = np.asarray(column)
+    ints = column.dtype.kind in "iu"
+    if not ints and not (column.dtype == np.float64 and np.isfinite(column).all()):
+        raise ValueError(f"a table column must hold integers or finite floats, got {column.dtype} values")
+    if ints and int(column.max()) - int(column.min()) < column.size:
+        # dense: keyed by the offset from the minimum (no copy at 0), in unsigned arithmetic no width overflows
+        low, index = column.min(), column.view(f"u{column.itemsize}")
+        index = index - low.astype(index.dtype) if low else index
+        texts = map(str, range(int(low), int(column.max()) + 1))
+    else:
+        # floats keyed by bit pattern, so 0.0 and -0.0 stay apart
+        keys, index = np.unique(column if ints else column.view(np.int64), return_inverse=True)
+        texts = map(str, keys.tolist()) if ints else map(float_text, keys.view(np.float64).tolist())
+    return np.char.rjust(np.array([*texts], dtype="S"), int(width or 0)), index
