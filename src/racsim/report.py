@@ -62,10 +62,10 @@ def check_weight(w, name: str) -> None:
 
 
 def text_rows(template: str, columns: list, float_text: Callable[[float], str]) -> str:
-    """``"".join(template % row for row in zip(*columns))``, with ``%%`` and a ``%s`` or ``%Ns`` field
-    per column, writing integers with ``str`` and finite float64 values with ``float_text``; any other column
-    is refused with ``ValueError``.  Each column's distinct values are written once, as ASCII, into
-    a zero-padded byte table, and rows are gathered from the tables ``_CHUNK_ROWS`` at a time."""
+    """``"".join(template % row for row in zip(*columns))`` for ``%%`` and one ``%s`` or ``%Ns`` field
+    per column, writing integers with ``str`` and finite float64 values with ``float_text``; any
+    other column is refused with ``ValueError``.  Each column's distinct values are written once, as
+    ASCII, into a zero-padded byte table, and rows are gathered from the tables ``_CHUNK_ROWS`` at a time."""
     escaped = template.replace("%%", "\0")  # the zero byte is written as "%"
     widths, texts = re.findall(r"%(\d*)s", escaped), re.split(r"%\d*s", escaped)
     tables, indices = zip(*map(_value_table, columns, widths, [float_text] * len(columns)))
@@ -91,7 +91,7 @@ def _value_table(column, width: str, float_text: Callable[[float], str]) -> tupl
     if not ints and not (column.dtype == np.float64 and np.isfinite(column).all()):
         raise ValueError(f"a table column must hold integers or finite floats, got {column.dtype} values")
     if ints and int(column.max()) - int(column.min()) < column.size:
-        # dense: keyed by the offset from the minimum (no copy at 0), in unsigned arithmetic no width overflows
+        # dense: keyed by the offset from the minimum, in unsigned arithmetic so no width overflows
         low, index = column.min(), column.view(f"u{column.itemsize}")
         index = index - low.astype(index.dtype) if low else index
         texts = map(str, range(int(low), int(column.max()) + 1))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from racsim import ProtocolSpec, report, TrialConfig, closed_form_full, encode_restricted
+from racsim import ProtocolSpec, TrialConfig, closed_form_full, encode_restricted, report
 from racsim.qudit import root_of_unity
 
 HUGE = 10**5000  # past the 4,300 digits Python writes an int in
@@ -54,7 +54,6 @@ I64 = np.iinfo(np.int64)
 
 def seven_digits(v: float) -> str:
     return format(v, ".7g")
-
 
 
 @pytest.mark.parametrize("float_text", [float.__repr__, seven_digits], ids=["repr", "7g"])
