@@ -92,11 +92,10 @@ def _json_field(value) -> str:
     if not isinstance(value, _Table):
         # JSON strings escape every newline, so each raw one starts a line one level deeper.
         return json.dumps(value, indent=2).replace("\n", "\n  ")
-    columns = value.columns
-    row = dict.fromkeys(value.keys, _SLOT) if value.keys else [_SLOT] * len(columns)
+    row = dict.fromkeys(value.keys, _SLOT) if value.keys else [_SLOT] * len(value.columns)
     layout = json.dumps(row, indent=2).replace("%", "%%").replace(json.dumps(_SLOT), "%s")
     # float.__repr__ is how json writes a float; text_rows gives it Python floats only.
-    body = text_rows("    " + layout.replace("\n", "\n    ") + ",\n", columns, float.__repr__)
+    body = text_rows("    " + layout.replace("\n", "\n    ") + ",\n", value.columns, float.__repr__)
     return f"[\n{body[:-2]}\n  ]"
 
 
@@ -116,10 +115,9 @@ def _render(report: Report, args: argparse.Namespace) -> None:
     if args.format == "json":
         provenance = {"tool": "racsim", "version": __version__, "command": report.command,
                       "parameters": report.parameters, "values": report.sources}
-        # one join, as a table field can run to tens of megabytes
-        members = [piece for key, value in {"provenance": provenance, **report.fields}.items()
-                   for piece in (",\n  ", json.dumps(key), ": ", _json_field(value))]
-        text = "".join(["{\n  ", *members[1:], "\n}\n"])
+        members = [f"{json.dumps(key)}: {_json_field(value)}"
+                   for key, value in {"provenance": provenance, **report.fields}.items()]
+        text = "{\n  " + ",\n  ".join(members) + "\n}\n"
     elif args.format == "csv":
         (table,) = [value for value in report.fields.values() if isinstance(value, _Table)]
         template = ",".join(["%s"] * len(table.keys)) + "\n"

@@ -62,41 +62,46 @@ def check_weight(w, name: str) -> None:
 
 
 def text_rows(template: str, columns: list, float_text: Callable[[float], str]) -> str:
-    """``"".join(template % row for row in zip(*columns))`` for ``%%`` and one ``%s`` or ``%Ns`` field
-    per column, writing integers with ``str`` and finite float64 values with ``float_text``; any
-    other column is refused with ``ValueError``.  Each column's distinct values are written once, as
-    ASCII, into a zero-padded byte table, and rows are gathered from the tables ``_CHUNK_ROWS`` at a time."""
-    escaped = template.replace("%%", "\0")  # the zero byte is written as "%"
-    widths, texts = re.findall(r"%(\d*)s", escaped), re.split(r"%\d*s", escaped)
-    tables, indices = zip(*map(_value_table, columns, widths, [float_text] * len(columns)))
-    texts = [np.array(text.replace("\0", "%").encode()) for text in texts]  # "" is one zero byte
-    row = np.dtype([("", field.dtype) for field in (*sum(zip(texts, tables), ()), texts[-1])])
-    count = len(indices[0])
-    cells = np.empty(min(count, _CHUNK_ROWS), row)
-    for name, text in zip(row.names[::2], texts):
-        cells[name] = text  # the template's text, once; the values are written chunk by chunk
-    chunks = []
+    """``"".join(template % row for row in zip(*columns))`` for one ``%s`` or ``%Ns`` field per column
+    and ``%%`` literals, writing integers with ``str`` and finite float64 values with ``float_text``; any
+    other template or column is refused with ``ValueError``.  Each column's distinct values are written
+    once, each in its field with the text around it, into a byte table, and rows are gathered from the
+    tables ``_CHUNK_ROWS`` at a time into a buffer of one fixed-width field per column."""
+    # (text before, width, text after) of each field; the first field takes all the text before it
+    fields = re.findall(r"((?:[^%]|%%)*)%(\d*)s((?:[^%]|%%)*)", template)
+    if "".join(f"{b}%{w}s{a}" for b, w, a in fields) != template or len(fields) != len(columns):
+        raise ValueError(f"{template!r} must hold one %s or %Ns field for each of its {len(columns)} columns")
+    tables, indices = zip(*map(_value_table, columns, fields, [float_text] * len(columns)))
+    count, row = len(indices[0]), np.dtype([("", table.dtype) for table in tables])
+    cells, chunks = np.empty(min(count, _CHUNK_ROWS), row), []
     for top in range(0, count, _CHUNK_ROWS):
         rows = cells[: count - top]
-        for name, table, index in zip(row.names[1::2], tables, indices):
+        for name, table, index in zip(row.names, tables, indices):
             rows[name] = table.take(index[top : top + _CHUNK_ROWS])
         chunks.append(rows.tobytes().translate(None, b"\0").decode())
     return "".join(chunks)
 
 
-def _value_table(column, width: str, float_text: Callable[[float], str]) -> tuple[np.ndarray, np.ndarray]:
-    """(table, index): ``table[index[k]]`` is ``f"%{width}s" % column[k]``, each distinct value written once."""
+def _value_table(column, field: tuple, float_text: Callable[[float], str]) -> tuple[np.ndarray, np.ndarray]:
+    """(table, index): row ``index[k]`` of the byte table, less its zero bytes, is ``column[k]``
+    written in ``field``, the (text before, width, text after) of a ``%s`` or ``%Ns`` field."""
     column = np.asarray(column)
     ints = column.dtype.kind in "iu"
     if not ints and not (column.dtype == np.float64 and np.isfinite(column).all()):
         raise ValueError(f"a table column must hold integers or finite floats, got {column.dtype} values")
-    if ints and int(column.max()) - int(column.min()) < column.size:
-        # dense: keyed by the offset from the minimum, in unsigned arithmetic so no width overflows
-        low, index = column.min(), column.view(f"u{column.itemsize}")
-        index = index - low.astype(index.dtype) if low else index
-        texts = map(str, range(int(low), int(column.max()) + 1))
+    # keyed by unsigned bits, so no offset from the minimum overflows and 0.0 and -0.0 stay apart
+    bits = column.view(f"u{column.itemsize}")
+    if ints and int(column.max()) - int(column.min()) < column.size:  # dense, as every caller's integers are
+        values, index = range(int(column.min()), int(column.max()) + 1), bits - column.min().astype(bits.dtype)
     else:
-        # floats keyed by bit pattern, so 0.0 and -0.0 stay apart
-        keys, index = np.unique(column if ints else column.view(np.int64), return_inverse=True)
-        texts = map(str, keys.tolist()) if ints else map(float_text, keys.view(np.float64).tolist())
-    return np.char.rjust(np.array([*texts], dtype="S"), int(width or 0)), index
+        keys, index = np.unique(bits, return_inverse=True)
+        values = keys.view(column.dtype).tolist()
+    width, texts = int(field[1] or 0), np.array([*map(str if ints else float_text, values)], dtype="S")
+    texts = texts.astype(f"S{max(width, texts.itemsize)}", copy=False).view(np.uint8).reshape(len(texts), -1)
+    before, after = (np.frombuffer(text.replace("%%", "%").encode(), np.uint8) for text in field[::2])
+    # a space for each byte a value falls short of its width; the rest of the field is zero bytes
+    spaces = (texts[:, :width] == 0) * np.uint8(32)
+    table = np.hstack([np.tile(before, (len(texts), 1)), spaces, texts, np.tile(after, (len(texts), 1))])
+    if table.shape[1] < 16:  # rows of 2, 4, 8 or 16 bytes, which numpy copies a few times faster than others
+        table = np.pad(table, ((0, 0), (0, (1 << (table.shape[1] - 1).bit_length()) - table.shape[1])))
+    return table.view(f"S{table.shape[1]}").ravel(), index

@@ -71,6 +71,8 @@ def seven_digits(v: float) -> str:
         pytest.param("%s\n", [np.arange(256, dtype=np.uint8)], id="uint8-full-range"),
         pytest.param("%4s|%11s|%%%s%%\n", [[1, 22, 333, 4444, 55555], [0.5, -1e-300, 3.25, 1e300, 2.0],
                                            [7, 8, 9, 10, 11]], id="widths-and-percent"),
+        # byte-table rows (text, field of spaces, value field) of 16 bytes, and of 15 padded to 16
+        pytest.param("%7s, %7s\n", [[1, 22, 333], [0.5, 2.25, 1e-300]], id="widths-at-16-bytes"),
         pytest.param("[%s, %s]", [[42], [1.5]], id="one-row"),
         pytest.param("x%s y%s\n", [np.arange(2 * report._CHUNK_ROWS + 3) % 97,
                                    np.arange(2 * report._CHUNK_ROWS + 3) / 7.0], id="chunks-and-a-rest"),
@@ -94,3 +96,19 @@ def test_text_rows_match_the_per_row_reference(template, columns, float_text):
 def test_text_rows_refuse_other_columns(column):
     with pytest.raises(ValueError, match="must hold integers or finite floats"):
         report.text_rows("%s\n", [column], repr)
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        pytest.param("%s\n", id="fewer-fields"),
+        pytest.param("%s %s %s\n", id="more-fields"),
+        pytest.param("%%s %s\n", id="escaped-field"),
+        pytest.param("%d %s\n", id="other-conversion"),
+        pytest.param("%-4s %s\n", id="flag"),
+        pytest.param("%s %s %\n", id="lone-percent"),
+    ],
+)
+def test_text_rows_refuse_a_template_unlike_its_columns(template):
+    with pytest.raises(ValueError, match="must hold one %s or %Ns field for each of its 2 columns"):
+        report.text_rows(template, [[1, 2], [0.5, 1.5]], repr)
