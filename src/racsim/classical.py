@@ -18,10 +18,21 @@ first, is canonical: were f_y(m) > m its first entry over the bound, swapping
 that value with the smallest value missing from f_y(0..m-1) would lower the
 tuple.  So the optimum and the lexicographically smallest optimal decoder
 tuple are found among them.
+
+The last two columns (i, j) are scored for many prefixes at once.  With
+rows[i] a prefix's best agreement with column i and agree[j, x] the questions
+column j answers right on input x, a pair scores sum_x max(rows[i, x],
+agree[j, x]), and for integers a, b in 0..n, max(a, b) = n - sum_{t=1..n}
+[a < t][b < t].  So the scores are n d^n - sum_t (rows < t) @ (agree < t)^T,
+n float32 matrix products.  They are exact: each product entry counts inputs,
+an integer at most d^n, and d^n < 2^24, as the (d^n)^2 agreement table could
+not exist otherwise.  A block of one row (d = 2, whose one prefix is empty)
+is scored by an int8 maximum and sum instead, which is faster for a vector.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,10 +46,10 @@ from .report import FLOAT_MAX, SuccessReport, check_int, check_weight, text_rows
 #: Covers (n=2, d<=6) at ~4.5M, (n=3, d<=4) at ~766k and (n<=5, d=3) at ~2.4M.
 DEFAULT_TUPLE_BUDGET = 10_000_000
 
-#: Cells of the (rows i, columns j, inputs) int8 block scored at once.  Rows are
-#: gathered by level; a block holds at least one row, so above 2048 columns it
-#: is up to count**2 cells.
-_BLOCK_CELLS = 1 << 22
+#: Cells of every table the oracle scores at once: a block of rows, a chunk of columns, the
+#: float32 threshold masks of each and their counts.  A block holds at least one row and a chunk
+#: one column, so above 2**19 columns each is up to count cells.
+_BLOCK_CELLS = 1 << 19
 
 #: Bits above which the oracle's multiset count is not formed: math.comb takes
 #: 2 s at (n=2, d=10^5), minutes at d=10^6, and overflows past d = 2^63 - 1.
@@ -239,28 +250,27 @@ def optimal_classical_bruteforce(
     agree = np.zeros((count, count), dtype=np.int8)
     for row in cols:
         agree += row[:, None] == row[None, :]
-    block = max(1, _BLOCK_CELLS // count**2)
-    penultimate = np.flatnonzero(level <= d - 2)
+    block = max(1, _BLOCK_CELLS // count)
+    prefixes = _canonical_prefixes(level, d - 2)
 
     best_count, best_key = -1, None
     # The first d - 2 columns of a canonical sequence come from the prefixes, the
-    # last two (i, j) from one block of rows i at a time: columns of level at most
-    # d - 2 from the prefix's last on, against every column j from the block's
-    # first row on.  Entries with j < i are real strategies too, so they can
-    # change neither the optimum nor the witness.
-    for prefix in _canonical_prefixes(level, d - 2):
-        partial = agree[list(prefix)].max(axis=0, initial=0)
-        candidates = penultimate[penultimate >= (prefix[-1] if prefix else 0)]
-        for top in range(0, len(candidates), block):
-            index = candidates[top : top + block]
-            first = int(index[0])
-            rows = np.maximum(agree[index], partial)
-            counts = np.maximum(rows[:, None, :], agree[None, first:, :]).sum(axis=2, dtype=np.int64)
+    # last two (i, j) from blocks of rows: each prefix's columns i of level at most
+    # d - 2 from its last on, each row the prefix's best agreement with i, scored
+    # against every column j from the block's least i on.  Entries with j < i are
+    # real strategies too, so they can change neither the optimum nor the witness.
+    for held, owner, index in _row_blocks(prefixes, np.flatnonzero(level <= d - 2), block):
+        partial = np.zeros((len(held), count), dtype=np.int8)
+        for column in held.T:
+            np.maximum(partial, agree[column], out=partial)
+        rows = np.maximum(agree[index], partial[owner])
+        for left in range(int(index.min()), count, block):
+            counts = _pair_counts(rows, agree[left : left + block], n)
             top_count = int(counts.max())
             if top_count < best_count:
                 continue
             i, j = np.nonzero(counts == top_count)
-            sets = [(*prefix, int(index[a]), first + b) for a, b in zip(i.tolist(), j.tolist())]
+            sets = np.column_stack([held[owner[i]], index[i], left + j])
             if top_count > best_count:
                 best_count, best_key = top_count, None
             best_key = _smallest_decoder_tuple(cols, sets, best_key)
@@ -283,6 +293,52 @@ def _canonical_prefixes(level: np.ndarray, length: int):
                 yield from extend((*prefix, c))
 
     return extend(())
+
+
+def _row_blocks(prefixes, penultimate: np.ndarray, block: int):
+    """The rows (prefix, i), i each column of ``penultimate`` from the prefix's last on, ``block`` at a
+    time: each block as its prefixes, a (k, length) array, and per row its prefix's place and its i."""
+    starts = penultimate.tolist()
+    spans, size = [], 0
+    for prefix in prefixes:
+        low = bisect.bisect_left(starts, prefix[-1]) if prefix else 0
+        while low < len(starts):  # a prefix's run of rows may be split between blocks
+            high = min(len(starts), low + block - size)
+            spans.append((prefix, low, high))
+            size, low = size + high - low, high
+            if size == block:
+                yield _rows(spans, penultimate)
+                spans, size = [], 0
+    if spans:
+        yield _rows(spans, penultimate)
+
+
+def _rows(spans: list, penultimate: np.ndarray) -> tuple:
+    """(prefixes, owner, index) of the rows ``penultimate[low:high]`` of each span (prefix, low, high)."""
+    held, lows, highs = zip(*spans)
+    lengths = np.subtract(highs, lows)
+    owner = np.repeat(np.arange(len(spans)), lengths)
+    # each row's place in the block, moved to its place in penultimate
+    index = penultimate[np.arange(len(owner)) + np.repeat(lows - (np.cumsum(lengths) - lengths), lengths)]
+    return np.array(held, dtype=np.intp), owner, index
+
+
+def _pair_counts(rows: np.ndarray, columns: np.ndarray, n: int) -> np.ndarray:
+    """counts[i, j] = sum_x max(rows[i, x], columns[j, x]) for int8 tables of entries in 0..n."""
+    if len(rows) == 1:  # a vector against a matrix: one int8 pass beats n float32 products
+        return np.maximum(rows[:, None, :], columns[None, :, :]).sum(axis=2, dtype=np.int64)
+    # The threshold identity of the module docstring: each product entry counts inputs, so it is an
+    # integer below 2^24 that float32 holds exactly, and it is made an integer before it is summed.
+    counts = np.full((len(rows), len(columns)), n * rows.shape[1], dtype=np.int32)
+    below_rows = np.empty(rows.shape, dtype=np.float32)
+    below_columns = np.empty(columns.shape, dtype=np.float32)
+    product = np.empty(counts.shape, dtype=np.float32)
+    for t in range(1, n + 1):
+        np.less(rows, t, out=below_rows)
+        np.less(columns, t, out=below_columns)
+        np.matmul(below_rows, below_columns.T, out=product)
+        np.subtract(counts, product, out=counts, dtype=np.int32, casting="unsafe")
+    return counts
 
 
 def _smallest_decoder_tuple(cols: np.ndarray, sets: list, incumbent: tuple | None) -> tuple:
@@ -346,7 +402,7 @@ def strategy_from_text(text: str) -> DeterministicStrategy:
     if not text.isascii() or text.encode().translate(None, allowed.encode()):
         bad = next(c for c in text if c not in allowed)
         raise ValueError(f"strategy table tokens must be ASCII decimal integers, got {bad!r}")
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = list(filter(str.strip, text.splitlines()))
     if not lines or len(lines[0].split()) != 2:
         raise ValueError("strategy table must start with a header line 'n d'")
     n, d = map(int, lines[0].split())

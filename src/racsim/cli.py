@@ -15,7 +15,9 @@ a closed form or an enumeration.  They are laid out byte for byte as
 ``json.dumps(report, indent=2)`` lays them out, but written a field at a time.
 Every table (``exact``'s ``per_input`` and ``scan``'s ``rows``) is written from
 its columns by :func:`racsim.report.text_rows`, from one %-template per table
-and format; every other field is written by ``json.dumps`` itself.
+and format; JSON takes the same text in pieces from
+:func:`racsim.report.text_chunks` and joins the report once.  Every other
+field is written by ``json.dumps`` itself.
 
 Exit status: 0 on success, 1 on failed verification (including an internal
 cross-check of enumeration against a closed form), 2 on invalid arguments or a
@@ -38,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, advantage, classical, montecarlo, quantum
-from .report import text_rows
+from .report import text_chunks, text_rows
 
 OUTPUT_DIR_ENV = "RACSIM_OUTPUT_DIR"
 
@@ -80,23 +82,28 @@ class _Table:
     keys: tuple[str, ...] | None = None
 
 
+#: How text and CSV write a float: a bound C method, which tables call once per distinct value.
+_FLOAT_TEXT = "%.7g".__mod__
+
+
 def _text(value) -> str:
-    return format(value, ".7g") if isinstance(value, float) else str(value)
+    return _FLOAT_TEXT(value) if isinstance(value, float) else str(value)
 
 
 _SLOT = "\0"  # a placeholder value: json.dumps writes it as "\u0000", which no key or number contains
 
 
-def _json_field(value) -> str:
-    """``value`` as ``json.dumps(..., indent=2)`` writes it as a member of the top-level object."""
+def _json_field(value) -> list[str]:
+    """``value`` as ``json.dumps(..., indent=2)`` writes it as a member of the top-level object, in pieces."""
     if not isinstance(value, _Table):
         # JSON strings escape every newline, so each raw one starts a line one level deeper.
-        return json.dumps(value, indent=2).replace("\n", "\n  ")
+        return [json.dumps(value, indent=2).replace("\n", "\n  ")]
     row = dict.fromkeys(value.keys, _SLOT) if value.keys else [_SLOT] * len(value.columns)
     layout = json.dumps(row, indent=2).replace("%", "%%").replace(json.dumps(_SLOT), "%s")
-    # float.__repr__ is how json writes a float; text_rows gives it Python floats only.
-    body = text_rows("    " + layout.replace("\n", "\n    ") + ",\n", value.columns, float.__repr__)
-    return f"[\n{body[:-2]}\n  ]"
+    # float.__repr__ is how json writes a float; text_chunks gives it Python floats only.
+    body = text_chunks("    " + layout.replace("\n", "\n    ") + ",\n", value.columns, float.__repr__)
+    body[-1] = body[-1][:-2]  # no comma after the last row
+    return ["[\n", *body, "\n  ]"]
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -115,13 +122,16 @@ def _render(report: Report, args: argparse.Namespace) -> None:
     if args.format == "json":
         provenance = {"tool": "racsim", "version": __version__, "command": report.command,
                       "parameters": report.parameters, "values": report.sources}
-        members = [f"{json.dumps(key)}: {_json_field(value)}"
-                   for key, value in {"provenance": provenance, **report.fields}.items()]
-        text = "{\n  " + ",\n  ".join(members) + "\n}\n"
+        parts = ["{\n  "]
+        for key, value in {"provenance": provenance, **report.fields}.items():
+            parts += [json.dumps(key), ": ", *_json_field(value), ",\n  "]
+        parts[-1] = "\n}\n"
+        text = "".join(parts)  # the one copy of every table's rows
+        del parts  # so the rows' pieces are not held while the text is written
     elif args.format == "csv":
         (table,) = [value for value in report.fields.values() if isinstance(value, _Table)]
         template = ",".join(["%s"] * len(table.keys)) + "\n"
-        text = ",".join(table.keys) + "\n" + text_rows(template, table.columns, _text)
+        text = ",".join(table.keys) + "\n" + text_rows(template, table.columns, _FLOAT_TEXT)
     else:
         shown = {**report.parameters, **report.fields}
         lines = [f"{key}: {_text(shown[key])}\n" for key in report.text_keys if shown[key] is not None]
@@ -162,7 +172,7 @@ def cmd_exact(args: argparse.Namespace) -> Report:
             "per_input": _Table(cells),
         },
         text_keys=(*parameters, "average", "worst_case", "closed_form"),
-        table=lambda: "per-input success (x1 x2 y p):\n" + text_rows("%s %s %s %s\n", cells, _text),
+        table=lambda: "per-input success (x1 x2 y p):\n" + text_rows("%s %s %s %s\n", cells, _FLOAT_TEXT),
     )
 
 
@@ -185,7 +195,7 @@ def cmd_scan(args: argparse.Namespace) -> Report:
         },
         fields={"rows": _Table(columns, _SCAN_COLUMNS)},
         table=lambda: (_SCAN_TEXT_ROW % ("d", "dprime", "r_max", "classical", "full", "restricted", "ratio")
-                       + text_rows(_SCAN_TEXT_ROW, columns, _text)),
+                       + text_rows(_SCAN_TEXT_ROW, columns, _FLOAT_TEXT)),
     )
 
 

@@ -67,6 +67,12 @@ def text_rows(template: str, columns: list, float_text: Callable[[float], str]) 
     other template or column is refused with ``ValueError``.  Each column's distinct values are written
     once, each in its field with the text around it, into a byte table, and rows are gathered from the
     tables ``_CHUNK_ROWS`` at a time into a buffer of one fixed-width field per column."""
+    return "".join(text_chunks(template, columns, float_text))
+
+
+def text_chunks(template: str, columns: list, float_text: Callable[[float], str]) -> list[str]:
+    """The text of :func:`text_rows` as its pieces of ``_CHUNK_ROWS`` rows each, for a caller that
+    joins them with more text: the rows are then copied once, into the caller's string."""
     # (text before, width, text after) of each field; the first field takes all the text before it
     fields = re.findall(r"((?:[^%]|%%)*)%(\d*)s((?:[^%]|%%)*)", template)
     if "".join(f"{b}%{w}s{a}" for b, w, a in fields) != template or len(fields) != len(columns):
@@ -79,7 +85,7 @@ def text_rows(template: str, columns: list, float_text: Callable[[float], str]) 
         for name, table, index in zip(row.names, tables, indices):
             rows[name] = table.take(index[top : top + _CHUNK_ROWS])
         chunks.append(rows.tobytes().translate(None, b"\0").decode())
-    return "".join(chunks)
+    return chunks
 
 
 def _value_table(column, field: tuple, float_text: Callable[[float], str]) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from racsim import classical
 from racsim.classical import (
     ClassicalTask,
     DeterministicStrategy,
@@ -406,6 +407,46 @@ class TestOracle:
         result = optimal_classical_bruteforce(task, max_tuples=0, allow_large=True)
         assert result.optimum == evaluate_strategy(task, majority_identity_strategy(task)).average
         assert evaluate_strategy(task, result.witness).average == result.optimum
+
+    @pytest.mark.parametrize(
+        "n, d, decoders",
+        [
+            (2, 6, ((0,) * 6, tuple(range(6)))),
+            (2, 7, ((0,) * 7, tuple(range(7)))),
+            (3, 5, (tuple(range(5)),) * 3),
+            (4, 4, (tuple(range(4)),) * 4),
+            (5, 4, (tuple(range(4)),) * 5),
+        ],
+    )
+    def test_witness_decoders_at_search_sizes(self, n, d, decoders):
+        # recorded from the one-prefix-at-a-time int8 search this one replaced
+        result = optimal_classical_bruteforce(ClassicalTask(n, d), max_tuples=0, allow_large=True)
+        assert result.witness.decoders == decoders
+
+    @pytest.mark.parametrize("n, d", [(1, 6), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3)])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_block_boundaries_lose_no_row(self, n, d, rows, monkeypatch):
+        """Blocks of one row and chunks of one column (the int8 path, as with _BLOCK_CELLS = 1), and
+        of three rows and three columns (the float32 products), split many prefixes' rows between
+        blocks; they give the default's result."""
+        task = ClassicalTask(n, d)
+        default = optimal_classical_bruteforce(task, max_tuples=0, allow_large=True)
+        monkeypatch.setattr(classical, "_BLOCK_CELLS", rows * d**n)
+        small = optimal_classical_bruteforce(task, max_tuples=0, allow_large=True)
+        assert small.optimum == default.optimum
+        assert small.witness == default.witness  # its decoders and its encoder
+
+    @pytest.mark.parametrize("n, d", [(11, 2), (2, 7)])
+    def test_search_memory_is_bounded_by_the_block(self, n, d):
+        """Traced peaks under 16 MB (about 8.4 and 8.8 MB): float32 threshold masks of the whole
+        agreement table at (11, 2), or every row of (2, 7) scored at once, would take over 40 MB."""
+        tracemalloc.start()
+        try:
+            optimal_classical_bruteforce(ClassicalTask(n, d), max_tuples=0, allow_large=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 def orbit_minimum(decoders: tuple, d: int) -> tuple:

@@ -217,7 +217,7 @@ class TestTableLayout:
     def test_numpy_floats_are_written_as_json_writes_floats(self):
         # Enough repeats that each distinct value is rendered once; 0.0 and -0.0 stay apart.
         column = [np.float64(0.1), np.float64(2.0), np.float64(-0.0), np.float64(0.0)] * 3
-        text = cli._json_field(cli._Table([list(range(12)), column]))
+        text = "".join(cli._json_field(cli._Table([list(range(12)), column])))
         assert "np.float64(" not in text
         assert text == json.dumps([[i, float(v)] for i, v in enumerate(column)], indent=2).replace("\n", "\n  ")
 
