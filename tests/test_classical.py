@@ -438,8 +438,8 @@ class TestOracle:
 
     @pytest.mark.parametrize("n, d", [(11, 2), (2, 7)])
     def test_search_memory_is_bounded_by_the_block(self, n, d):
-        """Traced peaks under 16 MB (about 8.4 and 8.8 MB): float32 threshold masks of the whole
-        agreement table at (11, 2), or every row of (2, 7) scored at once, would take over 40 MB."""
+        """Traced peaks under 16 MB (about 8.4 and 8.8 MB): scoring (11, 2) by float32 threshold masks
+        of the whole agreement table peaks at 21 MB, and every row of (2, 7) at once at 37 MB."""
         tracemalloc.start()
         try:
             optimal_classical_bruteforce(ClassicalTask(n, d), max_tuples=0, allow_large=True)
