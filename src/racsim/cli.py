@@ -101,7 +101,7 @@ def _json_field(value) -> list[str]:
     row = dict.fromkeys(value.keys, _SLOT) if value.keys else [_SLOT] * len(value.columns)
     layout = json.dumps(row, indent=2).replace("%", "%%").replace(json.dumps(_SLOT), "%s")
     # float.__repr__ is how json writes a float; text_chunks gives it Python floats only.
-    body = text_chunks("    " + layout.replace("\n", "\n    ") + ",\n", value.columns, float.__repr__)
+    body = list(text_chunks("    " + layout.replace("\n", "\n    ") + ",\n", value.columns, float.__repr__))
     body[-1] = body[-1][:-2]  # no comma after the last row
     return ["[\n", *body, "\n  ]"]
 

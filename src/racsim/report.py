@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,22 +70,22 @@ def text_rows(template: str, columns: list, float_text: Callable[[float], str]) 
     return "".join(text_chunks(template, columns, float_text))
 
 
-def text_chunks(template: str, columns: list, float_text: Callable[[float], str]) -> list[str]:
-    """The text of :func:`text_rows` as its pieces of ``_CHUNK_ROWS`` rows each, for a caller that
-    joins them with more text: the rows are then copied once, into the caller's string."""
+def text_chunks(template: str, columns: list, float_text: Callable[[float], str]) -> Iterator[str]:
+    """The text of :func:`text_rows` as its pieces of ``_CHUNK_ROWS`` rows each, written as they are
+    taken, for a caller that joins them with more text (the rows are then copied once, into the
+    caller's string) or compares them with a text and may stop at the first that differs."""
     # (text before, width, text after) of each field; the first field takes all the text before it
     fields = re.findall(r"((?:[^%]|%%)*)%(\d*)s((?:[^%]|%%)*)", template)
     if "".join(f"{b}%{w}s{a}" for b, w, a in fields) != template or len(fields) != len(columns):
         raise ValueError(f"{template!r} must hold one %s or %Ns field for each of its {len(columns)} columns")
     tables, indices = zip(*map(_value_table, columns, fields, [float_text] * len(columns)))
     count, row = len(indices[0]), np.dtype([("", table.dtype) for table in tables])
-    cells, chunks = np.empty(min(count, _CHUNK_ROWS), row), []
+    cells = np.empty(min(count, _CHUNK_ROWS), row)
     for top in range(0, count, _CHUNK_ROWS):
         rows = cells[: count - top]
         for name, table, index in zip(row.names, tables, indices):
             rows[name] = table.take(index[top : top + _CHUNK_ROWS])
-        chunks.append(rows.tobytes().translate(None, b"\0").decode())
-    return chunks
+        yield rows.tobytes().translate(None, b"\0").decode()
 
 
 def _value_table(column, field: tuple, float_text: Callable[[float], str]) -> tuple[np.ndarray, np.ndarray]:
