@@ -94,8 +94,9 @@ def scan_columns(d_min: int = 2, d_max: int = 50) -> list[np.ndarray]:
     """The staircase for d in [d_min, d_max] as the seven :class:`AdvantageRow` columns:
     int64 d, d' and r_max, then float64 success probabilities and ratio.
 
-    The restricted value of every d <= VERIFY_DMAX is recomputed by exhaustive
-    Born-rule enumeration and must agree with the closed form to 1e-12, else
+    The restricted value of every d <= VERIFY_DMAX is recomputed by
+    :func:`~racsim.quantum.exact_success` from the anchor's Born weights and the
+    sizes of the dit classes, and must agree with the closed form to 1e-12, else
     ``AssertionError`` is raised.  Both bounds are at most 2^63 - 1."""
     d_min = check_int(d_min, "d_min", 2, np.iinfo(np.int64).max)
     d_max = check_int(d_max, "d_max", d_min, np.iinfo(np.int64).max)

@@ -186,7 +186,7 @@ def evaluate_strategy(task: ClassicalTask, strategy: DeterministicStrategy) -> S
     hits = _hits(all_inputs(n, d), *strategy._arrays)
     average, worst = np.count_nonzero(hits) / hits.size, int(hits.sum(axis=0).min()) / n
     # np.asarray, not astype: with astype the classical-oracle benchmark read 1.3 MB more peak RSS
-    return SuccessReport(average, worst, np.asarray(hits.T.reshape((d,) * n + (n,)), dtype=float))
+    return SuccessReport(average, worst, lambda: np.asarray(hits.T.reshape((d,) * n + (n,)), dtype=float))
 
 
 def majority_identity_strategy(task: ClassicalTask) -> DeterministicStrategy:

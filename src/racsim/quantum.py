@@ -18,10 +18,10 @@ is |anchor|^2, which holds two values: b0 at index 0 and b1 at the other
 d_prime - 1.  A cell's success depends only on the asked dit x and on whether
 its power is gated off: the chance the guess after x's outcome names x, times
 b0 (a power rolls b0 onto that outcome) or, gated off, times the weight at
-that outcome, b1 unless it is 0.  Exact evaluation fills two length-d vectors
-from the two weights, broadcasts the d x d x 2 table from them, and takes the
-average and worst case from the weights and vectors.  The averages also have
-closed forms.
+that outcome, b1 unless it is 0.  Exact evaluation takes the average and worst
+case from the two weights and the sizes of the dit classes, in O(1) time; the
+d x d x 2 table is broadcast from two length-d vectors only when it is read.
+The averages also have closed forms.
 """
 
 from __future__ import annotations
@@ -87,12 +87,28 @@ class GuessDistribution:
     support: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        for answer, prob in self.support:
-            check_int(answer, "guess answer", 0)
-            check_weight(prob, "guess probabilities")
-        total = math.fsum(prob for _, prob in self.support)
+        probs = _plain_probs(self.support)
+        if probs is None:  # check entry by entry, to name the first bad one
+            for answer, prob in self.support:
+                check_int(answer, "guess answer", 0)
+                check_weight(prob, "guess probabilities")
+            probs = [prob for _, prob in self.support]
+        total = math.fsum(probs)
         if abs(total - 1.0) > qudit.ATOL:
             raise ValueError(f"guess probabilities must sum to 1, got {total}")
+
+
+def _plain_probs(support) -> list | None:
+    """The chances of ``support``, when its answers are nonnegative ints and its chances
+    finite nonnegative floats, checked a column at a time; else None."""
+    try:
+        answers, probs = [answer for answer, _ in support], [prob for _, prob in support]
+    except (TypeError, ValueError):  # an entry that is not a pair
+        return None
+    if {*map(type, answers)} <= {int} and {*map(type, probs)} <= {float} and min(answers, default=0) >= 0:
+        chances = np.array(probs, dtype=float)
+        return probs if ((chances >= 0) & (chances <= FLOAT_MAX)).all() else None
+    return None
 
 
 def _powers(spec: ProtocolSpec, x1, x2) -> tuple[np.ndarray, np.ndarray]:
@@ -143,7 +159,8 @@ def guess_from_outcome(outcome: int, spec: ProtocolSpec) -> GuessDistribution:
     # np.empty refuses a size past numpy's limits, where np.arange can return an empty array.
     fallback = np.empty(spec.d - spec.d_prime + 1, dtype=np.int64)
     fallback[0], fallback[1:] = 0, np.arange(spec.d_prime, spec.d)
-    return GuessDistribution(tuple((answer, 1.0 / len(fallback)) for answer in fallback.tolist()))
+    # A tuple grown from an iterator is tracked anew by the garbage collector at each resize; a list is not.
+    return GuessDistribution(tuple(list(zip(fallback.tolist(), [1.0 / len(fallback)] * len(fallback)))))
 
 
 def _anchor_born(m: int) -> tuple[float, float]:
@@ -174,38 +191,54 @@ def answer_distribution(spec: ProtocolSpec, x1: int, x2: int, y: int) -> np.ndar
 
 
 def exact_success(spec: ProtocolSpec) -> SuccessReport:
-    """Enumerate the whole game and report exact success probabilities.
+    """Exact success probabilities of the whole game, in O(1) time.
 
     ``fit[x]`` is the chance of announcing the asked dit x when the other dit
     fits in ``d_prime``, ``gated[x]`` (literal gating only) when it does not.
-    Both are b0 / (d - d_prime + 1) at 0 and at the dits from d_prime on, where
-    outcome 0's guess names x; in between ``fit`` is b0 and ``gated`` b1.  The
-    (d, d, 2) table is broadcast from them.  The average is their correctly
-    rounded sums weighted by how often the other dit fits, and the worst case
-    the least block sum of their minima: float addition is monotone, so that is
-    the table's least cell bit for bit.  The output is allocated first, so a
-    game too large for memory fails before any weight is computed.
+    Both are shared = b0 / (d - d_prime + 1) at 0 and at the dits from d_prime
+    on, where outcome 0's guess names x; in between ``fit`` is b0 and ``gated``
+    b1.  The average is their sums weighted by how often the other dit fits,
+    each formed exactly from its two values' counts and rounded once, as fsum
+    rounds it; the worst case is the least block sum of their minima: float
+    addition is monotone, so that is the table's least cell bit for bit.  The
+    (d, d, 2) table is broadcast from the vectors on the first read of ``per_input``.
     """
-    per_input = np.empty((_check_spec(spec).d, spec.d, 2))
-    d, m = spec.d, spec.d_prime
+    d, m = int(_check_spec(spec).d), int(spec.d_prime)  # Python ints: a numpy d * d could wrap
+    literal = spec.variant is GatingVariant.BOTH_OR_NOTHING and m < d
+    if (d * d if literal else d) > FLOAT_MAX:  # the average divides by it as a float
+        raise ValueError(f"exact evaluation needs {'d * d' if literal else 'd'} <= {FLOAT_MAX:.4g}, "
+                         f"got d of {d.bit_length()} bits")
     b0, b1 = _anchor_born(m)
     # Outcome 0's guess names 0 and each dit from m on with chance 1 / (d - m + 1).
     shared = b0 * (1.0 / (d - m + 1))
-    fit = np.full(d, b0)
-    fit[0] = fit[m:] = shared
-    if spec.variant is GatingVariant.INDEPENDENT or m == d:
-        per_input[..., 0], per_input[..., 1] = fit[:, None], fit
-        # shared <= b0 is fit's least entry: the least cell is shared + shared, halved exactly
-        return SuccessReport(math.fsum(fit.tolist()) / d, shared, per_input)
-    # The fitting dits F are 0..m-1 and the others N are m..d-1; fit and gated agree on N.
-    gated = fit.copy()
-    gated[1:m] = b1
-    per_input[:, :m, 0], per_input[:, m:, 0] = fit[:, None], gated[:, None]
-    per_input[:m, :, 1], per_input[m:, :, 1] = fit, gated
+
+    def table() -> np.ndarray:  # allocated first, so a table too large for memory fails before any vector
+        per_input = np.empty((d, d, 2))
+        fit = np.full(d, b0)
+        fit[0] = fit[m:] = shared
+        if not literal:
+            per_input[..., 0], per_input[..., 1] = fit[:, None], fit
+            return per_input
+        # The fitting dits F are 0..m-1 and the others N are m..d-1; fit and gated agree on N.
+        gated = fit.copy()
+        gated[1:m] = b1
+        per_input[:, :m, 0], per_input[:, m:, 0] = fit[:, None], gated[:, None]
+        per_input[:m, :, 1], per_input[m:, :, 1] = fit, gated
+        return per_input
+
+    fit_sum = _class_sum(d - m + 1, shared, m - 1, b0)
+    if not literal:  # shared <= b0 is fit's least entry: the least cell is shared + shared, halved exactly
+        return SuccessReport(fit_sum / d, shared, table)
     # The least cell of blocks FxF and NxN is shared + shared; of FxN and NxF, gated's least on F + shared.
     worst = ((min(shared, b1) if m > 1 else shared) + shared) / 2
-    average = (m * math.fsum(fit.tolist()) + (d - m) * math.fsum(gated.tolist())) / (d * d)
-    return SuccessReport(average, worst, per_input)
+    gated_sum = _class_sum(d - m + 1, shared, m - 1, b1)
+    return SuccessReport((m * fit_sum + (d - m) * gated_sum) / (d * d), worst, table)
+
+
+def _class_sum(count0: int, value0: float, count1: int, value1: float) -> float:
+    """count0 * value0 + count1 * value1 formed exactly, as a ratio of ints, and rounded once by int / int."""
+    (p0, q0), (p1, q1) = value0.as_integer_ratio(), value1.as_integer_ratio()
+    return (count0 * p0 * q1 + count1 * p1 * q0) / (q0 * q1)
 
 
 def _restricted_value(d, m):

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import re
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,12 +27,18 @@ class SuccessReport:
     enumerate the dit string.  ``average`` is the mean over the uniform
     distribution of inputs and questions.  ``worst_case`` is the success of
     the least favourable input string, averaged over the uniform question.
-    Each evaluator reads the two statistics from its own cells.
+    Each evaluator computes the two statistics itself and passes a function
+    that makes the table; it runs on the first read of ``per_input``, whose
+    result is kept.
     """
 
     average: float
     worst_case: float
-    per_input: np.ndarray
+    build_per_input: Callable[[], np.ndarray] = field(repr=False)
+
+    @functools.cached_property
+    def per_input(self) -> np.ndarray:
+        return self.build_per_input()
 
 
 def check_int(value, name: str, low: int | None = None, high: float | None = None) -> int:

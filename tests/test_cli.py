@@ -82,11 +82,18 @@ class TestExact:
         assert err.splitlines() == ["error: Unable to allocate 7.28 TiB for an array"]
 
     def test_dimension_past_numpy_limits_is_a_usage_error(self, capsys):
-        # The (d, d, 2) output is refused before the anchor would take sqrt of a 401-digit int.
+        # A d past the largest float is refused, by its size in bits, before the anchor would take sqrt of it.
         code, out, err = run_cli(capsys, "exact", "--task", "full", "--d", str(10**400))
         assert code == 2
         assert out == ""
-        assert err.splitlines() == ["error: Maximum allowed dimension exceeded"]
+        assert err.splitlines() == ["error: exact evaluation needs d <= 1.798e+308, got d of 1329 bits"]
+
+    def test_table_past_numpy_limits_is_a_usage_error(self, capsys):
+        # The statistics of d = 2**40 are computed; numpy refuses the (d, d, 2) table the listing reads.
+        code, out, err = run_cli(capsys, "exact", "--task", "full", "--d", str(2**40))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_simulated_dimension_past_numpy_limits_is_a_usage_error(self, capsys):
         # Sampling refuses a d whose 2d - 1 needs more than 64 bits, before any sqrt is taken.
@@ -239,7 +246,7 @@ class TestTableLayout:
         def poisoned(spec):
             per_input = np.full((spec.d, spec.d, 2), 0.5)
             per_input[1, 0, 1] = np.nan
-            return SuccessReport(0.5, 0.5, per_input)
+            return SuccessReport(0.5, 0.5, lambda: per_input)
 
         monkeypatch.setattr(quantum, "exact_success", poisoned)
         code, out, err = run_cli(capsys, "exact", "--task", "full", "--d", "3", "--format", "json")

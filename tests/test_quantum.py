@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from racsim.quantum import (
 )
 
 from racsim.montecarlo import TrialConfig, answer_counts, simulate
+from racsim.report import FLOAT_MAX, SuccessReport
 
 from oracles import dense_answer_distribution, dense_encode, dense_game, table_statistics
 
@@ -223,6 +225,22 @@ class TestGuessFromOutcome:
         with pytest.raises(ValueError, match=message):
             GuessDistribution(support)
 
+    def test_guess_distribution_reports_a_bad_entry_before_a_later_non_pair(self):
+        with pytest.raises(ValueError, match="at least 0, got -1$"):
+            GuessDistribution(((-1, 0.5), (0, 0.25, 0.25)))
+
+    @pytest.mark.parametrize(
+        "support",
+        [
+            pytest.param(((np.int64(0), np.float64(0.5)), (5, 0.5)), id="numpy-scalars"),
+            pytest.param(((0, 0.5), (5, 0.5), (7, -0.0)), id="negative-zero"),
+            pytest.param(((0, Fraction(1, 4)), (5, 0.75)), id="fraction"),
+            pytest.param([[0, 0.25], [5, 0.75]], id="lists"),
+        ],
+    )
+    def test_guess_distribution_accepts_every_entry_the_entry_checks_accept(self, support):
+        assert GuessDistribution(support).support == support
+
 
 class TestExactSuccess:
     def test_qubit_protocol_value(self):
@@ -249,14 +267,55 @@ class TestExactSuccess:
 
     @pytest.mark.parametrize("d", [2**40, 10**400])
     def test_oversized_game_fails_before_any_table(self, d, monkeypatch):
-        """The (d, d, 2) output is allocated first, so numpy refuses it before the Born weights are read."""
+        """No table is built before the failure: at 2**40 the statistics are read and only the read of the
+        (d, d, 2) table is refused, by numpy; a 401-digit d, past what a float divides by, is refused
+        before the Born weights."""
         calls = []
         monkeypatch.setattr(quantum, "_anchor_born", lambda m: calls.append(m) or _anchor_born(m))
-        with pytest.raises(ValueError):
-            exact_success(ProtocolSpec.full(d))
-        assert calls == []
+        if d > FLOAT_MAX:
+            with pytest.raises(ValueError, match="needs d <= 1.798e[+]308, got d of 1329 bits$"):
+                exact_success(ProtocolSpec.full(d))
+            assert calls == []
+        else:
+            report = exact_success(ProtocolSpec.full(d))
+            assert report.average == pytest.approx(closed_form_full(d), abs=1e-15)
+            with pytest.raises(ValueError):
+                report.per_input
+            assert calls == [d]
+        calls.clear()
         assert exact_success(ProtocolSpec.full(3)).average == pytest.approx(closed_form_full(3), abs=1e-15)
         assert calls == [3]
+
+    @pytest.mark.parametrize("variant", list(GatingVariant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("d", [2**40, 2**63, 10**154, 10**200, 10**308, 10**400], ids=lambda d: f"{d.bit_length()}-bits")
+    def test_huge_alphabets_give_finite_values_or_a_value_error(self, d, variant):
+        """Past d = 1.8e308 (d * d under literal gating) the average's float division would overflow."""
+        limit = FLOAT_MAX if variant is GatingVariant.INDEPENDENT else math.isqrt(int(FLOAT_MAX))
+        for m in (1, 2, d // 3, d - 1, d):
+            if d > limit and not (m == d and d <= FLOAT_MAX):
+                with pytest.raises(ValueError, match=f"got d of {d.bit_length()} bits$"):
+                    exact_success(ProtocolSpec(d, m, variant))
+            else:
+                report = exact_success(ProtocolSpec(d, m, variant))
+                assert math.isfinite(report.average) and math.isfinite(report.worst_case), (m, variant)
+                assert 0 < report.worst_case <= 1 and 0 < report.average <= 1, (m, variant)
+
+    @pytest.mark.parametrize("variant", list(GatingVariant), ids=lambda v: v.value)
+    def test_size_limit_is_exact(self, variant):
+        limit = int(FLOAT_MAX) if variant is GatingVariant.INDEPENDENT else math.isqrt(int(FLOAT_MAX))
+        for m in (1, limit // 2, limit - 1):
+            assert math.isfinite(exact_success(ProtocolSpec(limit, m, variant)).average)
+            with pytest.raises(ValueError):
+                exact_success(ProtocolSpec(limit + 1, m, variant))
+
+    def test_table_is_built_once(self):
+        builds = []
+        report = SuccessReport(0.5, 0.5, lambda: builds.append(1) or np.full((2, 2, 2), 0.5))
+        assert builds == []
+        assert report.per_input is report.per_input
+        assert builds == [1]
+        report = exact_success(ProtocolSpec(6, 5, GatingVariant.BOTH_OR_NOTHING))
+        assert report.per_input is report.per_input
 
     def test_literal_gating_value_and_ordering(self):
         report = exact_success(ProtocolSpec(6, 5, GatingVariant.BOTH_OR_NOTHING))
@@ -329,6 +388,22 @@ class TestSeparableEvaluation:
         for spec in all_specs(40):
             report = exact_success(spec)
             assert abs(report.average - report.per_input.mean()) <= 1e-15, spec
+
+    def test_statistics_are_the_vector_formulas_bit_for_bit(self):
+        """fsum over the table's fit row (x1 = 0, question 2) and gated row (x1 = d - 1), weighted by how
+        often the other dit fits, and the least block sum: every spec with d <= 96 and a seeded sample to 2048."""
+        rng = np.random.default_rng(2048)
+        sample = [ProtocolSpec(int(d), int(rng.integers(1, d + 1)), GatingVariant(v))
+                  for d, v in zip(rng.integers(97, 2049, 12), rng.choice(["canonical", "literal"], 12))]
+        for spec in all_specs(96) + sample:
+            d, m, report = spec.d, spec.d_prime, exact_success(spec)
+            fit, gated = report.per_input[0, :, 1], report.per_input[-1, :, 1]
+            if spec.variant is GatingVariant.INDEPENDENT or m == d:
+                want = (math.fsum(fit.tolist()) / d, fit[0])
+            else:
+                average = (m * math.fsum(fit.tolist()) + (d - m) * math.fsum(gated.tolist())) / (d * d)
+                want = (average, (gated[:m].min() + fit[0]) / 2)
+            assert (report.average, report.worst_case) == want, spec
 
     def test_canonical_average_is_within_rounding_of_the_closed_form(self):
         """Against (d'/(2d))(1 + 1/sqrt(d')) to 50 digits."""
@@ -418,8 +493,8 @@ class TestBitIdentity:
         assert 0.0 < simulate(spec, TrialConfig(1000, 0)).mean < 1.0
         assert answer_counts(spec, TrialConfig(1000, 0)).sum() == 1000
 
-    def test_peak_memory_at_d_1024(self):
-        d = 1024
+    def test_no_table_is_built_until_read_at_d_4096(self):
+        d = 4096
         spec = ProtocolSpec(d, d - r_max(d))
         tracemalloc.start()
         try:
@@ -427,7 +502,8 @@ class TestBitIdentity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 48e6
+        # a float64 vector of d entries alone would take 8 d = 32 KB
+        assert peak < min(64_000, 8 * d)
         assert report.average == pytest.approx(closed_form_restricted(d, r_max(d)), abs=1e-12)
 
 
