@@ -87,28 +87,12 @@ class GuessDistribution:
     support: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        probs = _plain_probs(self.support)
-        if probs is None:  # check entry by entry, to name the first bad one
-            for answer, prob in self.support:
-                check_int(answer, "guess answer", 0)
-                check_weight(prob, "guess probabilities")
-            probs = [prob for _, prob in self.support]
-        total = math.fsum(probs)
+        for answer, prob in self.support:
+            check_int(answer, "guess answer", 0)
+            check_weight(prob, "guess probabilities")
+        total = math.fsum(prob for _, prob in self.support)
         if abs(total - 1.0) > qudit.ATOL:
             raise ValueError(f"guess probabilities must sum to 1, got {total}")
-
-
-def _plain_probs(support) -> list | None:
-    """The chances of ``support``, when its answers are nonnegative ints and its chances
-    finite nonnegative floats, checked a column at a time; else None."""
-    try:
-        answers, probs = [answer for answer, _ in support], [prob for _, prob in support]
-    except (TypeError, ValueError):  # an entry that is not a pair
-        return None
-    if {*map(type, answers)} <= {int} and {*map(type, probs)} <= {float} and min(answers, default=0) >= 0:
-        chances = np.array(probs, dtype=float)
-        return probs if ((chances >= 0) & (chances <= FLOAT_MAX)).all() else None
-    return None
 
 
 def _powers(spec: ProtocolSpec, x1, x2) -> tuple[np.ndarray, np.ndarray]:
@@ -159,8 +143,7 @@ def guess_from_outcome(outcome: int, spec: ProtocolSpec) -> GuessDistribution:
     # np.empty refuses a size past numpy's limits, where np.arange can return an empty array.
     fallback = np.empty(spec.d - spec.d_prime + 1, dtype=np.int64)
     fallback[0], fallback[1:] = 0, np.arange(spec.d_prime, spec.d)
-    # A tuple grown from an iterator is tracked anew by the garbage collector at each resize; a list is not.
-    return GuessDistribution(tuple(list(zip(fallback.tolist(), [1.0 / len(fallback)] * len(fallback)))))
+    return GuessDistribution(tuple((answer, 1.0 / len(fallback)) for answer in fallback.tolist()))
 
 
 def _anchor_born(m: int) -> tuple[float, float]:

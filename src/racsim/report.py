@@ -36,6 +36,11 @@ class SuccessReport:
     worst_case: float
     build_per_input: Callable[[], np.ndarray] = field(repr=False)
 
+    def __post_init__(self) -> None:
+        if not callable(self.build_per_input):
+            raise TypeError(f"build_per_input must be a function that makes the table, "
+                            f"got {type(self.build_per_input).__name__}")
+
     @functools.cached_property
     def per_input(self) -> np.ndarray:
         return self.build_per_input()

@@ -317,6 +317,10 @@ class TestExactSuccess:
         report = exact_success(ProtocolSpec(6, 5, GatingVariant.BOTH_OR_NOTHING))
         assert report.per_input is report.per_input
 
+    def test_report_refuses_a_table_in_place_of_its_builder(self):
+        with pytest.raises(TypeError, match="function that makes the table, got ndarray$"):
+            SuccessReport(0.5, 0.5, np.full((2, 2, 2), 0.5))
+
     def test_literal_gating_value_and_ordering(self):
         report = exact_success(ProtocolSpec(6, 5, GatingVariant.BOTH_OR_NOTHING))
         assert report.average == pytest.approx(LITERAL_6_5_AVERAGE, abs=1e-12)
@@ -492,6 +496,19 @@ class TestBitIdentity:
         assert answer_distribution(spec, 2, 3, 2).sum() == pytest.approx(1.0, abs=1e-12)
         assert 0.0 < simulate(spec, TrialConfig(1000, 0)).mean < 1.0
         assert answer_counts(spec, TrialConfig(1000, 0)).sum() == 1000
+
+    def test_peak_memory_at_d_1024(self):
+        """The call and the read of its table: the (d, d, 2) float table alone takes 16.8 MB."""
+        d = 1024
+        spec = ProtocolSpec(d, d - r_max(d))
+        tracemalloc.start()
+        try:
+            per_input = exact_success(spec).per_input
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
+        assert per_input.mean() == pytest.approx(closed_form_restricted(d, r_max(d)), abs=1e-12)
 
     def test_no_table_is_built_until_read_at_d_4096(self):
         d = 4096
