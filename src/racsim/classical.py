@@ -1,9 +1,9 @@
 """Classical strategies for the n-dit random access game.
 
 A deterministic strategy is an encoder table mapping every input string to a
-single message dit together with one decoder table per question.  The module
-evaluates arbitrary strategies exactly, builds the majority-encoding
-identity-decoding strategy, knows the closed-form optima for n = 2 and n = 3,
+single message dit, with one decoder table per question.  The module evaluates
+strategies exactly, builds majority encoding with identity decoding and counts
+its exact value at every n, knows the closed-form optima for n = 2 and n = 3,
 and ships an exhaustive oracle that recovers the optimum at small sizes.
 
 The oracle searches multisets of decoder columns only.  The best encoder
@@ -194,6 +194,28 @@ def majority_identity_strategy(task: ClassicalTask) -> DeterministicStrategy:
     n, d = task.n, task.d
     encoder = _majority_messages(all_inputs(n, d))
     return DeterministicStrategy(n=n, d=d, encoder=encoder, decoders=(tuple(range(d)),) * n)
+
+
+def majority_identity_value(task: ClassicalTask) -> Fraction:
+    """Exact average success of :func:`majority_identity_strategy`, from dit multiplicities alone:
+    identity decoders answer right at every position that holds the sent dit, so it scores
+    sum_x maxcount(x) = sum_{k=1..n} (d^n - N(k-1)), where N(j) = n! [t^n] (sum_{i<=j} t^i / i!)^d
+    counts the strings in which no dit appears more than j times.  Each series is kept as its count
+    of strings of each length and raised to the d-th power by squaring: O(n^3 log d) int operations."""
+    n, d = task.n, task.d
+    comb = [[math.comb(m, i) for i in range(m + 1)] for m in range(n + 1)]
+
+    def times(a: list, b: list) -> list:  # strings over two disjoint alphabets, by length
+        return [sum(c * a[i] * b[m - i] for i, c in enumerate(comb[m])) for m in range(n + 1)]
+
+    hits = d**n  # k = 1: N(0) = 0, as every string holds some dit
+    for j in range(1, n):
+        power, base, e = [1] + [0] * n, [int(i <= j) for i in range(n + 1)], d
+        while e:
+            power, e = times(power, base) if e & 1 else power, e >> 1
+            base = times(base, base) if e else base
+        hits += d**n - power[n]
+    return Fraction(hits, n * d**n)
 
 
 def _two_dit_value(d):

@@ -3,7 +3,7 @@
 Subcommands: ``exact`` (enumerated success report for one protocol), ``scan``
 (the advantage staircase as a table, CSV, or JSON), ``oracle`` (exhaustive
 classical search, or evaluation of a strategy file), ``simulate`` (seeded
-Monte Carlo), and ``verify`` (closed-form versus enumeration cross-checks).
+Monte Carlo), and ``verify`` (closed forms against exact counts and search).
 
 Every command returns a :class:`Report` of values, and one renderer turns it
 into the requested format.  Output is deterministic: fields appear in a fixed
@@ -157,7 +157,7 @@ def _build_spec(args: argparse.Namespace) -> tuple[quantum.ProtocolSpec, dict]:
 def cmd_exact(args: argparse.Namespace) -> Report:
     spec, parameters = _build_spec(args)
     report = quantum.exact_success(spec)
-    x1, x2, y = np.indices(report.per_input.shape).reshape(3, -1)
+    x1, x2, y = np.indices(report.per_input.shape, dtype=np.min_scalar_type(spec.d)).reshape(3, -1)
     cells = [x1, x2, y + 1, report.per_input.ravel()]
 
     return Report(
@@ -298,10 +298,8 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
     )
 
     def majority_error(n: int, d: int) -> float:
-        # The majority-identity table scored from arrays, as evaluate_strategy scores it.
-        x = classical.all_inputs(n, d)
-        hits = classical._hits(x, classical._majority_messages(x), np.tile(np.arange(d), (n, 1)))
-        return abs(np.count_nonzero(hits) / hits.size - classical.closed_form_classical(n, d))
+        task = classical.ClassicalTask(n, d)  # valued by counting dit multiplicities; no table is built
+        return abs(float(classical.majority_identity_value(task)) - classical.closed_form_classical(n, d))
 
     worst = max(majority_error(n, d) for n in (2, 3) for d in range(2, 65))
     checks.append(

@@ -12,6 +12,8 @@ outcomes needs the same float.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -155,6 +157,31 @@ def classical_optimum_by_column_multisets(n: int, d: int) -> tuple[Fraction, tup
     columns = list(zip(*best_decoders))
     encoder = tuple(max(range(d), key=lambda m: right(columns[m], x)) for x in inputs)
     return Fraction(best_hits, n * d**n), best_decoders, encoder
+
+
+def majority_hits_by_multiplicity_patterns(n: int, d: int) -> tuple[int, int]:
+    """(sum over the d^n strings of the largest dit count, number of strings counted).
+
+    Sums over the partitions of n: a string's dit counts, sorted, are a partition with
+    k <= d parts, and d!/((d - k)! prod_j m_j!) * n!/prod_i part_i! strings have it, where
+    m_j is how many parts equal j.  The count returned beside the sum should be d^n.
+    """
+
+    def partitions(rest: int, top: int):
+        if rest == 0:
+            yield ()
+        for part in range(min(rest, top), 0, -1):
+            for tail in partitions(rest - part, part):
+                yield (part, *tail)
+
+    hits = strings = 0
+    for parts in partitions(n, n):
+        if len(parts) > d:
+            continue
+        letters = math.perm(d, len(parts)) // math.prod(map(math.factorial, Counter(parts).values()))
+        count = letters * math.factorial(n) // math.prod(map(math.factorial, parts))
+        hits, strings = hits + parts[0] * count, strings + count
+    return hits, strings
 
 
 def _stream_dtype(d: int) -> type:

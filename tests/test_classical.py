@@ -1,5 +1,6 @@
 """Classical strategies: evaluation, majority encoding, oracle, mixtures."""
 
+import functools
 import itertools
 import json
 import math
@@ -8,6 +9,7 @@ import time
 import tracemalloc
 from collections import Counter
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,15 +27,28 @@ from racsim.classical import (
     closed_form_classical,
     evaluate_strategy,
     majority_identity_strategy,
+    majority_identity_value,
     mixture_value,
     optimal_classical_bruteforce,
     strategy_from_text,
     strategy_to_text,
 )
 
-from oracles import classical_optimum_by_column_multisets, classical_optimum_full_enumeration, table_statistics
+from oracles import (
+    classical_optimum_by_column_multisets,
+    classical_optimum_full_enumeration,
+    majority_hits_by_multiplicity_patterns,
+    table_statistics,
+)
 
 RNG = np.random.default_rng(7)
+
+#: The reference scores every column multiset; (2,4) and (3,3) take about half a second each,
+#: so the two tests that read it share one call per size.
+column_multiset_optimum = functools.cache(classical_optimum_by_column_multisets)
+
+#: Sizes the column-multiset reference reaches in well under a second each.
+COLUMN_MULTISET_SIZES = [(1, d) for d in range(2, 7)] + [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2)]
 
 INTEGER_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
 
@@ -230,6 +245,46 @@ class TestMajorityIdentity:
             report = evaluate_strategy(task, majority_identity_strategy(task))
             assert report.average == pytest.approx(closed_form_classical(n, d), abs=1e-12), d
 
+    @pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 6) for d in range(2, 9)])
+    def test_value_is_the_enumerated_hit_count(self, n, d):
+        task = ClassicalTask(n, d)
+        hits = evaluate_strategy(task, majority_identity_strategy(task)).per_input.sum()
+        assert majority_identity_value(task) == Fraction(int(hits), n * d**n)
+
+    def test_value_is_the_closed_forms_exactly(self):
+        for d in range(2, 65):
+            task2, task3 = ClassicalTask(2, d), ClassicalTask(3, d)
+            assert majority_identity_value(task2) == Fraction(d + 1, 2 * d), d  # (1 + 1/d) / 2
+            assert majority_identity_value(task3) == Fraction(d * d + 3 * d - 1, 3 * d * d), d
+        assert majority_identity_value(ClassicalTask(2, 6)) == Fraction(7, 12)
+        assert majority_identity_value(ClassicalTask(3, 6)) == Fraction(53, 108)
+
+    @pytest.mark.parametrize("n, d", COLUMN_MULTISET_SIZES)
+    def test_value_is_the_optimum_over_every_column_multiset(self, n, d):
+        assert majority_identity_value(ClassicalTask(n, d)) == column_multiset_optimum(n, d)[0]
+
+    def test_value_matches_a_count_over_multiplicity_patterns(self):
+        # beyond enumeration: sizes up to d^n = 30^12, against a sum over the partitions of n
+        for n in range(1, 13):
+            for d in (2, 3, 5, 7, 12, 30):
+                hits, strings = majority_hits_by_multiplicity_patterns(n, d)
+                assert strings == d**n
+                assert majority_identity_value(ClassicalTask(n, d)) == Fraction(hits, n * d**n), (n, d)
+
+    def test_value_at_large_sizes_is_quick_and_in_range(self):
+        start = time.perf_counter()
+        value = majority_identity_value(ClassicalTask(50, 100))
+        assert time.perf_counter() - start < 5.0  # about 0.1 s; enumeration would take 100^50 steps
+        assert Fraction(1, 100) < value < 1
+
+    @pytest.mark.parametrize(
+        "n, d",
+        [(True, 3), (2, True), (2.0, 3), (2, 3.0), (0, 3), (-1, 3), (2, 1), (2, 0)],
+    )
+    def test_bad_sizes_are_refused(self, n, d):
+        with pytest.raises(ValueError):
+            majority_identity_value(ClassicalTask(n, d))
+
 
 class TestClosedFormClassical:
     def test_pair_values(self):
@@ -389,14 +444,11 @@ class TestOracle:
         assert result.optimum == evaluate_strategy(task, majority_identity_strategy(task)).average
         assert evaluate_strategy(task, result.witness).average == result.optimum
 
-    @pytest.mark.parametrize(
-        "n, d",
-        [(1, d) for d in range(2, 7)] + [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2)],
-    )
+    @pytest.mark.parametrize("n, d", COLUMN_MULTISET_SIZES)
     def test_matches_every_column_multiset(self, n, d):
         # the oracle scores canonical column sequences only; the reference
         # scores them all
-        optimum, decoders, encoder = classical_optimum_by_column_multisets(n, d)
+        optimum, decoders, encoder = column_multiset_optimum(n, d)
         result = optimal_classical_bruteforce(ClassicalTask(n, d))
         assert result.optimum == float(optimum)
         assert result.witness.decoders == decoders

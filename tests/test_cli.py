@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -411,7 +412,7 @@ class TestVerify:
 
     def test_majority_check_builds_no_strategies(self, monkeypatch):
         # only the five oracle witnesses are DeterministicStrategy objects;
-        # the 126 majority tables are scored as arrays
+        # the majority check counts dit multiplicities and builds no table
         import racsim.cli as cli_module
 
         built = []
@@ -424,6 +425,14 @@ class TestVerify:
         monkeypatch.setattr(DeterministicStrategy, "__post_init__", counting)
         assert all(ok for _, ok, _ in cli_module._verify_checks())
         assert len(built) <= 5
+
+    def test_majority_value_off_by_1e9_fails_its_check(self, capsys, monkeypatch):
+        value = classical.majority_identity_value
+        monkeypatch.setattr(classical, "majority_identity_value", lambda task: value(task) + Fraction(1, 10**9))
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        assert "FAIL  majority-identity vs classical closed forms" in out
+        assert out.splitlines()[-1] == "7/8 checks passed"
 
     def test_cross_check_failure_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(advantage, "closed_form_restricted", off_by_1e9)
