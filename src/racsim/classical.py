@@ -416,14 +416,12 @@ def strategy_to_text(strategy: DeterministicStrategy) -> str:
     message, in lexicographic input order; then n blocks of d lines map each
     message to the answer for questions y = 1..n.
     """
-    return "".join(_text_pieces(strategy))
+    return "".join(_text_pieces(strategy.n, strategy.d, *strategy._arrays))
 
 
-def _text_pieces(strategy: DeterministicStrategy):
-    """The text of :func:`strategy_to_text` in pieces, written as they are taken: the header line,
-    then the encoder and decoder lines ``text_chunks`` rows at a time."""
-    n, d = strategy.n, strategy.d
-    messages, decoders = strategy._arrays
+def _text_pieces(n: int, d: int, messages: np.ndarray, decoders: np.ndarray):
+    """The text of :func:`strategy_to_text` for the message and (n, d) decoder arrays, in pieces written
+    as they are taken: the header line, then the encoder and decoder lines ``text_chunks`` rows at a time."""
     yield f"{n} {d}\n"
     yield from text_chunks("%s " * n + "%s\n", [*all_inputs(n, d), messages], str)
     yield from text_chunks("%s %s\n", [np.tile(np.arange(d), n), decoders.ravel()], str)
@@ -447,9 +445,9 @@ def strategy_from_text(text: str) -> DeterministicStrategy:
 def _written_strategy(text: str) -> DeterministicStrategy | None:
     """The strategy that :func:`strategy_to_text` writes as ``text``, or None if it writes none so.
 
-    Only the last token of each line, its message or answer, is read; the strategy those make is
-    then written piece by piece against ``text``.  As the writer is injective and :func:`_read_table`
-    reads what it writes back, this is the strategy :func:`_read_table` gives too."""
+    Only the last token of each line, its message or answer, is read; the tables those make are then
+    written piece by piece against ``text``, and the strategy is built once all of it matches.  As the
+    writer is injective and :func:`_read_table` reads what it writes back, this is its strategy too."""
     header = re.match(r"([1-9][0-9]*) ([1-9][0-9]*)\n", text)  # as the writer writes n and d
     if header is None or not text.isascii():
         return None
@@ -466,16 +464,16 @@ def _written_strategy(text: str) -> DeterministicStrategy | None:
         digit = raw[last - 1 - place] - np.uint8(ord("0"))  # bytes below '0' wrap above 9
         reading &= digit < 10
         values += np.where(reading, digit, 0).astype(np.int64) * 10**place
+    messages, decoders = values[:count], values[count:].reshape(n, d)
+    start = 0
     try:
-        strategy = DeterministicStrategy(n, d, encoder=values[:count], decoders=values[count:].reshape(n, d))
+        for piece in _text_pieces(n, d, messages, decoders):
+            if not text.startswith(piece, start):
+                return None
+            start += len(piece)
+        return DeterministicStrategy(n, d, encoder=messages, decoders=decoders) if start == len(text) else None
     except ValueError:  # d = 1 or a value out of range, which the general reader reports
         return None
-    start = 0
-    for piece in _text_pieces(strategy):
-        if not text.startswith(piece, start):
-            return None
-        start += len(piece)
-    return strategy if start == len(text) else None
 
 
 def _read_table(text: str) -> DeterministicStrategy:

@@ -14,10 +14,10 @@ recording the tool version, the parameters, and whether each value came from
 a closed form or an enumeration.  They are laid out byte for byte as
 ``json.dumps(report, indent=2)`` lays them out, but written a field at a time.
 Every table (``exact``'s ``per_input`` and ``scan``'s ``rows``) is written from
-its columns by :func:`racsim.report.text_rows`, from one %-template per table
-and format; JSON takes the same text in pieces from
-:func:`racsim.report.text_chunks` and joins the report once.  Every other
-field is written by ``json.dumps`` itself.
+its columns in pieces by :func:`racsim.report.text_chunks`, from one
+%-template per table and format; text and CSV join the pieces of a table,
+JSON those of the whole report, once.  Every other field is written by
+``json.dumps`` itself.
 
 Exit status: 0 on success, 1 on failed verification (including an internal
 cross-check of enumeration against a closed form), 2 on invalid arguments or a
@@ -40,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, advantage, classical, montecarlo, quantum
-from .report import text_chunks, text_rows
+from .report import text_chunks
 
 OUTPUT_DIR_ENV = "RACSIM_OUTPUT_DIR"
 
@@ -55,7 +55,7 @@ class Report:
 
     ``parameters`` and ``sources`` (where each value came from) make up the
     JSON provenance; ``fields`` are the other JSON fields, in order.  A
-    :class:`_Table` field is written by :func:`~racsim.report.text_rows`,
+    :class:`_Table` field is written by :func:`~racsim.report.text_chunks`,
     any other field by ``json.dumps``.  Text output shows the parameters or
     fields named by ``text_keys`` as ``key: value`` lines, skipping None, then
     the text ``table`` returns; it is called only for text, so no other
@@ -131,7 +131,7 @@ def _render(report: Report, args: argparse.Namespace) -> None:
     elif args.format == "csv":
         (table,) = [value for value in report.fields.values() if isinstance(value, _Table)]
         template = ",".join(["%s"] * len(table.keys)) + "\n"
-        text = ",".join(table.keys) + "\n" + text_rows(template, table.columns, _FLOAT_TEXT)
+        text = "".join([",".join(table.keys) + "\n", *text_chunks(template, table.columns, _FLOAT_TEXT)])
     else:
         shown = {**report.parameters, **report.fields}
         lines = [f"{key}: {_text(shown[key])}\n" for key in report.text_keys if shown[key] is not None]
@@ -172,7 +172,8 @@ def cmd_exact(args: argparse.Namespace) -> Report:
             "per_input": _Table(cells),
         },
         text_keys=(*parameters, "average", "worst_case", "closed_form"),
-        table=lambda: "per-input success (x1 x2 y p):\n" + text_rows("%s %s %s %s\n", cells, _FLOAT_TEXT),
+        table=lambda: "".join(["per-input success (x1 x2 y p):\n",
+                               *text_chunks("%s %s %s %s\n", cells, _FLOAT_TEXT)]),
     )
 
 
@@ -195,7 +196,7 @@ def cmd_scan(args: argparse.Namespace) -> Report:
         },
         fields={"rows": _Table(columns, _SCAN_COLUMNS)},
         table=lambda: (_SCAN_TEXT_ROW % ("d", "dprime", "r_max", "classical", "full", "restricted", "ratio")
-                       + text_rows(_SCAN_TEXT_ROW, columns, _FLOAT_TEXT)),
+                       + "".join(text_chunks(_SCAN_TEXT_ROW, columns, _FLOAT_TEXT))),
     )
 
 

@@ -20,8 +20,8 @@ its power is gated off: the chance the guess after x's outcome names x, times
 b0 (a power rolls b0 onto that outcome) or, gated off, times the weight at
 that outcome, b1 unless it is 0.  Exact evaluation takes the average and worst
 case from the two weights and the sizes of the dit classes, in O(1) time; the
-d x d x 2 table is broadcast from two length-d vectors only when it is read.
-The averages also have closed forms.
+d x d x 2 table is broadcast from one length-d vector, literal gating's gated
+cells set to b1, only when it is read.  The averages also have closed forms.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ def exact_success(spec: ProtocolSpec) -> SuccessReport:
     each formed exactly from its two values' counts and rounded once, as fsum
     rounds it; the worst case is the least block sum of their minima: float
     addition is monotone, so that is the table's least cell bit for bit.  The
-    (d, d, 2) table is broadcast from the vectors on the first read of ``per_input``.
+    (d, d, 2) table is ``fit`` broadcast, ``gated``'s b1 cells set, on the first read of ``per_input``.
     """
     d, m = int(_check_spec(spec).d), int(spec.d_prime)  # Python ints: a numpy d * d could wrap
     literal = spec.variant is GatingVariant.BOTH_OR_NOTHING and m < d
@@ -199,14 +199,9 @@ def exact_success(spec: ProtocolSpec) -> SuccessReport:
         per_input = np.empty((d, d, 2))
         fit = np.full(d, b0)
         fit[0] = fit[m:] = shared
-        if not literal:
-            per_input[..., 0], per_input[..., 1] = fit[:, None], fit
-            return per_input
-        # The fitting dits F are 0..m-1 and the others N are m..d-1; fit and gated agree on N.
-        gated = fit.copy()
-        gated[1:m] = b1
-        per_input[:, :m, 0], per_input[:, m:, 0] = fit[:, None], gated[:, None]
-        per_input[:m, :, 1], per_input[m:, :, 1] = fit, gated
+        per_input[..., 0], per_input[..., 1] = fit[:, None], fit
+        if literal:  # dits F = 0..m-1 fit and N = m..d-1 do not; an asked 1..m-1 beside N is gated off
+            per_input[1:m, m:, 0] = per_input[m:, 1:m, 1] = b1
         return per_input
 
     fit_sum = _class_sum(d - m + 1, shared, m - 1, b0)
@@ -235,8 +230,7 @@ def _restricted_value(d, m):
 
 def closed_form_full(d: int) -> float:
     """Average success of the full protocol: (1 + 1/sqrt(d)) / 2."""
-    d = float(check_int(d, "alphabet size d", 1, FLOAT_MAX))
-    return float(_restricted_value(d, d))
+    return closed_form_restricted(d, 0)
 
 
 def closed_form_restricted(d: int, r: int) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Rows :func:`text_rows` gathers at once.
+#: Rows :func:`text_chunks` gathers into each piece.
 _CHUNK_ROWS = 1 << 12
 
 #: Upper bound for a size the closed forms convert to float; past it they would raise OverflowError.
@@ -73,19 +73,14 @@ def check_weight(w, name: str) -> None:
         raise ValueError(f"{name} must be finite nonnegative real numbers, got {w!r}")
 
 
-def text_rows(template: str, columns: list, float_text: Callable[[float], str]) -> str:
-    """``"".join(template % row for row in zip(*columns))`` for one ``%s`` or ``%Ns`` field per column
-    and ``%%`` literals, writing integers with ``str`` and finite float64 values with ``float_text``; any
-    other template or column is refused with ``ValueError``.  Each column's distinct values are written
-    once, each in its field with the text around it, into a byte table, and rows are gathered from the
-    tables ``_CHUNK_ROWS`` at a time into a buffer of one fixed-width field per column."""
-    return "".join(text_chunks(template, columns, float_text))
-
-
 def text_chunks(template: str, columns: list, float_text: Callable[[float], str]) -> Iterator[str]:
-    """The text of :func:`text_rows` as its pieces of ``_CHUNK_ROWS`` rows each, written as they are
-    taken, for a caller that joins them with more text (the rows are then copied once, into the
-    caller's string) or compares them with a text and may stop at the first that differs."""
+    """``template % row for row in zip(*columns)`` for one ``%s`` or ``%Ns`` field per column and
+    ``%%`` literals, in pieces of ``_CHUNK_ROWS`` rows each, written as they are taken: a caller joins
+    them, with more text or alone, or compares them with a text and may stop at the first that differs.
+    Integers are written with ``str`` and finite float64 values with ``float_text``; any other template
+    or column is refused with ``ValueError``.  Each column's distinct values are written once, each in
+    its field with the text around it, into a byte table, and rows are gathered from the tables
+    ``_CHUNK_ROWS`` at a time into a buffer of one fixed-width field per column."""
     # (text before, width, text after) of each field; the first field takes all the text before it
     fields = re.findall(r"((?:[^%]|%%)*)%(\d*)s((?:[^%]|%%)*)", template)
     if "".join(f"{b}%{w}s{a}" for b, w, a in fields) != template or len(fields) != len(columns):

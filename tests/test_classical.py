@@ -879,6 +879,22 @@ class TestColumnRead:
         with pytest.raises(ValueError, match=f"^{re.escape(str(general.value))}$"):
             strategy_from_text(text)
 
+    @pytest.mark.parametrize("edit, accepted", NEAR_LAYOUT_EDITS)
+    def test_near_layout_text_builds_no_strategy(self, edit, accepted, monkeypatch):
+        """The text is compared with the tables read from it before a strategy is built from them; an
+        out-of-range message that the writer would write as read still fails the build."""
+        canonical = strategy_to_text(extreme_messages_strategy(3, 16))
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(DeterministicStrategy(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(classical, "DeterministicStrategy", counted)
+        assert classical._written_strategy(edit(canonical)) is None
+        assert not built
+        assert classical._written_strategy(canonical) is not None and len(built) == 1
+
     @pytest.mark.parametrize("text", MALFORMED_TABLES)
     def test_declines_malformed_table_at_once(self, text, monkeypatch):
         """Without the header's bound on n and d, huge-header-n would form 2^(10^20) and never return."""

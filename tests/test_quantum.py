@@ -497,18 +497,23 @@ class TestBitIdentity:
         assert 0.0 < simulate(spec, TrialConfig(1000, 0)).mean < 1.0
         assert answer_counts(spec, TrialConfig(1000, 0)).sum() == 1000
 
-    def test_peak_memory_at_d_1024(self):
-        """The call and the read of its table: the (d, d, 2) float table alone takes 16.8 MB."""
+    @pytest.mark.parametrize("variant", list(GatingVariant), ids=lambda v: v.value)
+    def test_peak_memory_at_d_1024(self, variant):
+        """The call and the read of its table: the (d, d, 2) float table alone takes 16.8 MB, under
+        either gating, as literal gating overwrites its gated cells in place."""
         d = 1024
-        spec = ProtocolSpec(d, d - r_max(d))
+        spec = ProtocolSpec(d, d - r_max(d), variant)
         tracemalloc.start()
         try:
-            per_input = exact_success(spec).per_input
+            report = exact_success(spec)
+            per_input = report.per_input
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 48e6
-        assert per_input.mean() == pytest.approx(closed_form_restricted(d, r_max(d)), abs=1e-12)
+        assert per_input.mean() == pytest.approx(report.average, abs=1e-12)
+        if variant is GatingVariant.INDEPENDENT:
+            assert report.average == pytest.approx(closed_form_restricted(d, r_max(d)), abs=1e-12)
 
     def test_no_table_is_built_until_read_at_d_4096(self):
         d = 4096

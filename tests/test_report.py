@@ -79,7 +79,8 @@ def seven_digits(v: float) -> str:
     ],
 )
 def test_text_rows_match_the_per_row_reference(template, columns, float_text):
-    assert report.text_rows(template, columns, float_text) == reference_rows(template, columns, float_text)
+    text = "".join(report.text_chunks(template, columns, float_text))
+    assert text == reference_rows(template, columns, float_text)
 
 
 @pytest.mark.parametrize(
@@ -95,7 +96,7 @@ def test_text_rows_match_the_per_row_reference(template, columns, float_text):
 )
 def test_text_rows_refuse_other_columns(column):
     with pytest.raises(ValueError, match="must hold integers or finite floats"):
-        report.text_rows("%s\n", [column], repr)
+        "".join(report.text_chunks("%s\n", [column], repr))
 
 
 @pytest.mark.parametrize(
@@ -111,4 +112,4 @@ def test_text_rows_refuse_other_columns(column):
 )
 def test_text_rows_refuse_a_template_unlike_its_columns(template):
     with pytest.raises(ValueError, match="must hold one %s or %Ns field for each of its 2 columns"):
-        report.text_rows(template, [[1, 2], [0.5, 1.5]], repr)
+        "".join(report.text_chunks(template, [[1, 2], [0.5, 1.5]], repr))
