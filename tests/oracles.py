@@ -184,68 +184,109 @@ def majority_hits_by_multiplicity_patterns(n: int, d: int) -> tuple[int, int]:
     return hits, strings
 
 
-def _stream_dtype(d: int) -> type:
-    """Random stream 4's dit type: the smallest unsigned integer type that holds 2d - 1."""
-    return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if 2 * d - 1 <= np.iinfo(t).max)
+def _stream_dtype(bound: int, floor: type = np.uint8) -> type:
+    """The smallest unsigned integer type, from ``floor`` up, that holds ``bound``."""
+    types = (np.uint8, np.uint16, np.uint32, np.uint64)
+    return next(t for t in types[types.index(floor):] if bound <= np.iinfo(t).max)
 
 
-def stream_four_answer_counts(
+def _anchor_outcomes(u: np.ndarray, b0: float, d_prime: int) -> np.ndarray:
+    """The anchor's outcome for each uniform u, in the stream's float steps:
+    0 when u < b0, else 1 + min(floor((u - b0) s), d_prime - 2) with s = (d_prime - 1) / (1 - b0)."""
+    if d_prime == 1:
+        return np.zeros(len(u), dtype=np.uint64)
+    s = (d_prime - 1) / (1 - b0)
+    return np.where(u < b0, 0, 1 + np.minimum(np.floor((u - b0) * s), d_prime - 2)).astype(np.uint64)
+
+
+def stream_five_answer_counts(
     d: int, d_prime: int, variant: str, trials: int, seed: int, b0: float, chunk: int
 ) -> np.ndarray:
-    """Answer histogram [x1, x2, y-1, answer] of random stream 4.
+    """Answer histogram [x1, x2, y-1, answer] of random stream 5.
 
-    Replays ``default_rng(seed)`` chunk by chunk in the stream's order: the
-    position-major (2, size) inputs, the questions 0..1, one outcome uniform u
-    per trial, and then, when the fallback set {0, d_prime, ..., d-1} has more
-    than one dit, one index into it per trial that announces 0, in trial order.
-    The anchor's outcome is 0 when u < b0, else
-    1 + min(floor((u - b0) s), d_prime - 2) with s = (d_prime - 1) / (1 - b0);
-    the announced outcome adds the asked question's power, mod d_prime.
-    ``b0`` is the top entry of the sampler's Born row of the anchor.
+    Replays ``default_rng(seed)`` chunk by chunk in the stream's order: one
+    cell below 2 d^2 per trial, drawn in the smallest of uint16, uint32 and
+    uint64 that holds it and read as ``np.unravel_index(cell, (d, d, 2))`` =
+    (x1, x2, y), so the question is the least significant digit; then one
+    outcome uniform u per trial; then, when the fallback set {0, d_prime, ...,
+    d-1} has more than one dit, one index into it per trial that announces 0,
+    in trial order, in the smallest unsigned type that holds 2d - 1.  The
+    announced outcome adds the asked question's power to the anchor's, mod
+    d_prime.  ``b0`` is the top entry of the sampler's Born row of the anchor.
     """
-    dtype = _stream_dtype(d)
+    cell_type, pick_type = _stream_dtype(2 * d * d - 1, np.uint16), _stream_dtype(2 * d - 1)
     fallback = np.array([0] + list(range(d_prime, d)))
     counts = np.zeros((d, d, 2, d), dtype=np.int64)
     rng = np.random.default_rng(seed)
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)
-        x1, x2 = rng.integers(0, d, (2, size), dtype=dtype).astype(np.int64)
-        y = rng.integers(0, 2, size, dtype=np.uint8).astype(np.int64)
+        x1, x2, y = np.unravel_index(rng.integers(0, 2 * d * d, size, dtype=cell_type), (d, d, 2))
         u = rng.random(size)
         fits1, fits2 = x1 < d_prime, x2 < d_prime
         if variant == "literal":
             fits1 = fits2 = fits1 & fits2
         power = np.where(y == 0, np.where(fits1, x1, 0), np.where(fits2, x2, 0))
-        if d_prime == 1:
-            anchor = np.zeros(size, dtype=np.int64)
-        else:
-            s = (d_prime - 1) / (1 - b0)
-            anchor = np.where(u < b0, 0, 1 + np.minimum(np.floor((u - b0) * s), d_prime - 2)).astype(np.int64)
-        answers = (anchor + power) % d_prime
+        answers = (_anchor_outcomes(u, b0, d_prime).astype(np.int64) + power) % d_prime
         if len(fallback) > 1:
             zero = np.flatnonzero(answers == 0)
-            answers[zero] = fallback[rng.integers(0, len(fallback), len(zero), dtype=dtype)]
+            answers[zero] = fallback[rng.integers(0, len(fallback), len(zero), dtype=pick_type)]
         np.add.at(counts, (x1, x2, y, answers), 1)
     return counts
 
 
-def stream_four_classical_successes(
+def stream_five_classical_successes(
     n: int, d: int, encoder, decoders, trials: int, seed: int, chunk: int
 ) -> int:
-    """Successes of a deterministic strategy played on random stream 4.
+    """Successes of a deterministic strategy played on random stream 5.
 
-    Each chunk draws the position-major (n, size) inputs and the questions
-    0..n-1, and nothing more.  ``encoder`` is indexed by the input's
-    lexicographic rank (first dit most significant), ``decoders[y]`` by the message.
+    Each chunk draws one cell below n d^n per trial, in the smallest of
+    uint16, uint32 and uint64 that holds it, and nothing more.  The cell is read
+    as ``np.unravel_index(cell, (d,) * n + (n,))`` = (x_1, ..., x_n, y).
+    ``encoder`` is indexed by the input's lexicographic rank (first dit most
+    significant), ``decoders[y]`` by the message.
     """
-    dtype = _stream_dtype(d)
     encoder, decoders = np.array(encoder), np.array(decoders)
+    shape = (d,) * n
     hits = 0
     rng = np.random.default_rng(seed)
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)
-        inputs = rng.integers(0, d, (n, size), dtype=dtype).astype(np.int64)
-        y = rng.integers(0, n, size, dtype=np.uint8).astype(np.int64)
-        rank = sum(inputs[j] * d ** (n - 1 - j) for j in range(n))
-        hits += int(np.count_nonzero(decoders[y, encoder[rank]] == inputs[y, np.arange(size)]))
+        cell = rng.integers(0, n * d**n, size, dtype=_stream_dtype(n * d**n - 1, np.uint16))
+        *inputs, y = np.unravel_index(cell, shape + (n,))
+        answers = decoders[y, encoder[np.ravel_multi_index(inputs, shape)]]
+        hits += int(np.count_nonzero(answers == np.array(inputs)[y, np.arange(size)]))
     return hits
+
+
+def stream_five_full_answers(d: int, trials: int, seed: int, b0: float) -> tuple[list[int], list[int]]:
+    """Asked dits and answers of the full protocol at dimension d on random
+    stream 5, for at most one chunk of trials, decoded trial by trial in Python
+    integers.
+
+    The digits y (radix 2), x2 and x1 (radix d), least significant first, go
+    greedily into words whose radix product is at most 2^64; each word is one
+    draw per trial below that product, in the smallest of uint16, uint32 and
+    uint64 that holds it, the words in digit order.  The outcome uniforms
+    follow; no fallback index is drawn, as the fallback set is {0}.
+    """
+    words = [[]]
+    for radix in (2, d, d):
+        if math.prod(words[-1]) * radix > 2**64:
+            words.append([])
+        words[-1].append(radix)
+    rng = np.random.default_rng(seed)
+    draws = [rng.integers(0, math.prod(w), trials, dtype=_stream_dtype(math.prod(w) - 1, np.uint16)).tolist()
+             for w in words]
+    outcomes = _anchor_outcomes(rng.random(trials), b0, d).tolist()
+    asked, answers = [], []
+    for trial, outcome in enumerate(outcomes):
+        digits = []
+        for radices, draw in zip(words, draws):
+            value = draw[trial]
+            for radix in radices:
+                value, digit = divmod(value, radix)
+                digits.append(digit)
+        y, x2, x1 = digits
+        asked.append((x1, x2)[y])
+        answers.append((outcome + asked[-1]) % d)
+    return asked, answers

@@ -9,7 +9,7 @@ from scipy import stats
 
 from racsim import qudit
 from racsim.classical import ClassicalTask, DeterministicStrategy, majority_identity_strategy
-from racsim.montecarlo import _CHUNK, STREAM_VERSION, TrialConfig, answer_counts, simulate
+from racsim.montecarlo import _CHUNK, STREAM_VERSION, TrialConfig, _play, _words, answer_counts, simulate
 from racsim.quantum import (
     GatingVariant,
     ProtocolSpec,
@@ -20,7 +20,7 @@ from racsim.quantum import (
     exact_success,
 )
 
-from oracles import stream_four_answer_counts, stream_four_classical_successes
+from oracles import stream_five_answer_counts, stream_five_classical_successes, stream_five_full_answers
 
 
 def reference_protocols():
@@ -78,24 +78,60 @@ class TestReproducibility:
          (128, 128, 20_000), (129, 2, 20_000), (129, 129, 20_000)],
     )
     def test_answer_counts_replay_stream(self, d, d_prime, trials, variant):
-        """The sampler draws exactly the answers of the stream-4 definition,
-        replayed plainly: uint8 dits up to d = 128, uint16 from d = 129."""
-        assert STREAM_VERSION == 4
+        """The sampler draws exactly the answers of the stream-5 definition,
+        replayed plainly: uint16 cells, and uint8 fallback picks up to d = 128, uint16 from d = 129."""
+        assert STREAM_VERSION == 5
         spec = ProtocolSpec(d, d_prime, variant)
         seed = 1000 * d + d_prime
-        expected = stream_four_answer_counts(d, d_prime, variant.value, trials, seed, _anchor_born(d_prime)[0], _CHUNK)
+        expected = stream_five_answer_counts(d, d_prime, variant.value, trials, seed, _anchor_born(d_prime)[0], _CHUNK)
         np.testing.assert_array_equal(answer_counts(spec, TrialConfig(trials, seed)), expected)
 
-    @pytest.mark.parametrize("n, d, trials", [(1, 7, 20_000), (2, 5, 2 * _CHUNK + 3), (3, 4, 20_000), (2, 129, 20_000)])
+    @pytest.mark.parametrize(
+        "n, d, trials",
+        [(1, 7, 20_000), (2, 5, 2 * _CHUNK + 3), (3, 4, 20_000), (2, 129, 20_000), (2, 182, 20_000), (3, 41, 20_000)],
+    )
     def test_classical_replay_stream(self, n, d, trials):
         """A strategy with arbitrary tables scores exactly the successes of the
-        stream-4 definition, replayed plainly."""
-        assert STREAM_VERSION == 4
+        stream-5 definition, replayed plainly; (2, 182) and (3, 41) draw uint32 cells."""
+        assert STREAM_VERSION == 5
         rng = np.random.default_rng(n * d)
         strategy = DeterministicStrategy(n, d, rng.integers(0, d, d**n), rng.integers(0, d, (n, d)))
         seed = 1000 * n + d
-        hits = stream_four_classical_successes(n, d, strategy.encoder, strategy.decoders, trials, seed, _CHUNK)
+        hits = stream_five_classical_successes(n, d, strategy.encoder, strategy.decoders, trials, seed, _CHUNK)
         assert simulate(strategy, TrialConfig(trials, seed)).mean == hits / trials
+
+    @pytest.mark.parametrize("d", [2**20, 3_037_000_499, 3_037_000_500, 2**32 + 1, 2**40, 2**63])
+    def test_full_replay_stream_in_one_or_two_words(self, d):
+        """Past 2 d^2 = 2^64 the cell is split into the words (y, x2) and (x1):
+        d = 3,037,000,499 is the last size drawn as one uint64 word, 3,037,000,500
+        draws a uint64 and a uint32 word, 2^32 + 1 on two uint64 words.  A full
+        protocol succeeds exactly when the anchor's outcome is 0, so the mean checks
+        only where the uniforms start; the asked dits and answers check the digits."""
+        trials, seed = 300, d % 997
+        asked, answers = stream_five_full_answers(d, trials, seed, _anchor_born(d)[0])
+        config = TrialConfig(trials, seed)
+        hits = sum(a == b for a, b in zip(asked, answers))
+        assert simulate(ProtocolSpec.full(d), config).mean == hits / trials
+        [(_, got_asked, got_answers)] = _play(ProtocolSpec.full(d), config)
+        assert got_asked.tolist() == asked and got_answers.tolist() == answers
+
+    @pytest.mark.parametrize(
+        "n, d, words",
+        [
+            (2, 6, [(72, np.uint16, [2, 6, 6])]),
+            (1, 1, [(1, np.uint16, [1, 1])]),
+            (2, 181, [(2 * 181**2, np.uint16, [2, 181, 181])]),
+            (2, 182, [(2 * 182**2, np.uint32, [2, 182, 182])]),
+            (2, 46_341, [(2 * 46_341**2, np.uint64, [2, 46_341, 46_341])]),
+            (2, 3_037_000_500, [(6_074_001_000, np.uint64, [2, 3_037_000_500]), (3_037_000_500, np.uint32, [3_037_000_500])]),
+            (2, 2**63, [(2**64, np.uint64, [2, 2**63]), (2**63, np.uint64, [2**63])]),
+            (3, 4, [(192, np.uint16, [3, 4, 4, 4])]),
+        ],
+    )
+    def test_cell_words(self, n, d, words):
+        """Cells below 2^16 are drawn as uint16, never uint8: numpy's bounded
+        uint8 draws cost several times its uint16 ones."""
+        assert _words(n, d) == words
 
 
 class TestOutcomeSampling:
@@ -146,8 +182,9 @@ class TestEstimates:
         assert peak < 40e6
 
     def test_memory_at_two_million_trials_is_a_few_narrow_chunks(self):
-        """A chunk holds uint8 dits and one float64 uniform per trial, about
-        3 MB traced; stream 3's int64 draws and selections peaked at 17 MB."""
+        """A chunk holds a few uint16 digit arrays beside one reused float64
+        uniform buffer, about 4.1 MB traced (2.6 MB on stream 4's uint8 dits);
+        stream 3's int64 draws and selections peaked at 17 MB."""
         tracemalloc.start()
         try:
             simulate(ProtocolSpec.full(6), TrialConfig(trials=2_000_000, seed=3))
@@ -177,7 +214,7 @@ class TestEstimates:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
-        assert estimate.mean == 0.49756
+        assert estimate.mean == 0.49815
 
     def test_quantum_dimension_past_any_table_is_sampled(self):
         """At d = 2^40 no Born row could be allocated; the two weights need none."""
@@ -237,6 +274,15 @@ class TestAnswerFrequencies:
             # Each cell's expected counts are scaled to its own total: one constraint per cell.
             _, p_value = stats.chisquare(observed, expected, ddof=cells - 1)
             assert p_value > 1e-3, spec
+
+    def test_cells_are_uniform(self):
+        """Each (x1, x2, y) cell of (6, 5), counted over its answers, lies within
+        5 standard deviations of trials / 72: the cell draw covers the 72 cells evenly."""
+        trials = 1_000_000
+        cells = answer_counts(ProtocolSpec(6, 5), TrialConfig(trials, 2718)).sum(axis=-1)
+        assert cells.shape == (6, 6, 2)
+        p = 1 / 72
+        assert np.all(np.abs(cells - trials * p) <= 5 * math.sqrt(trials * p * (1 - p)))
 
     @pytest.mark.parametrize("trials", [10_000, 2 * _CHUNK + 3])
     def test_counts_total_matches_trials(self, trials):
