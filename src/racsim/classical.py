@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .report import FLOAT_MAX, SuccessReport, check_int, check_weight, text_chunks
+from .report import FLOAT_MAX, InfeasibleSearchError, SuccessReport, check_int, check_weight, text_chunks
 
 #: Column-multiset budget below which the oracle runs without an override.
 #: Covers (n=2, d<=6) at ~4.5M, (n=3, d<=4) at ~766k and (n<=5, d=3) at ~2.4M.
@@ -61,21 +61,6 @@ _EXACT_BITS = 1 << 19
 #: Python 3.11, numpy 2.4: (3,14) at 25k characters reads in 0.59 ms that way and 0.55 ms by the
 #: general reader, (2,60) at 31k in 0.58 against 0.63 ms, and (2,5) at 194 in 0.35 against 0.06 ms.
 _COLUMN_READ_CHARS = 1 << 15
-
-
-class InfeasibleSearchError(ValueError):
-    """Raised when an exhaustive search would exceed its multiset budget.  ``required`` is the
-    multiset count, or None when it may exceed ``_EXACT_BITS``; ``log10`` is its rounded log10."""
-
-    def __init__(self, required: int | None, budget: int, log10: int):
-        self.required = required
-        self.budget = budget
-        # Python refuses to write an int of over 4,300 digits in decimal.
-        size = str(required) if log10 < 4000 else f"about 10^{log10}"
-        super().__init__(
-            f"exhaustive search needs {size} column multisets, above the budget "
-            f"of {budget}; pass allow_large=True to run it anyway"
-        )
 
 
 @dataclass(frozen=True)

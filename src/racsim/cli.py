@@ -19,6 +19,9 @@ its columns in pieces by :func:`racsim.report.text_chunks`, from one
 JSON those of the whole report, once.  Every other field is written by
 ``json.dumps`` itself.
 
+Each command imports only the modules it calls, so a process loads no more
+of racsim than its command runs.
+
 Exit status: 0 on success, 1 on failed verification (including an internal
 cross-check of enumeration against a closed form), 2 on invalid arguments or a
 request too large for the available memory, 3 when the oracle search size
@@ -28,19 +31,17 @@ exceeds its budget.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
-from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, advantage, classical, montecarlo, quantum
-from .report import text_chunks
+from . import __version__, quantum
+from .report import InfeasibleSearchError, text_chunks
 
 OUTPUT_DIR_ENV = "RACSIM_OUTPUT_DIR"
 
@@ -95,6 +96,7 @@ _SLOT = "\0"  # a placeholder value: json.dumps writes it as "\u0000", which no 
 
 def _json_field(value) -> list[str]:
     """``value`` as ``json.dumps(..., indent=2)`` writes it as a member of the top-level object, in pieces."""
+    import json
     if not isinstance(value, _Table):
         # JSON strings escape every newline, so each raw one starts a line one level deeper.
         return [json.dumps(value, indent=2).replace("\n", "\n  ")]
@@ -120,6 +122,7 @@ def _emit(text: str, output: str | None) -> None:
 def _render(report: Report, args: argparse.Namespace) -> None:
     """Write ``report`` in ``args.format`` to stdout or ``args.output``."""
     if args.format == "json":
+        import json
         provenance = {"tool": "racsim", "version": __version__, "command": report.command,
                       "parameters": report.parameters, "values": report.sources}
         parts = ["{\n  "]
@@ -142,6 +145,14 @@ def _render(report: Report, args: argparse.Namespace) -> None:
 # ----------------------------------------------------------------- exact ---
 
 
+def _refuse_unread_options(args: argparse.Namespace) -> None:
+    """Refuse --dprime unless the task is restricted, and --n unless it is majority."""
+    if args.dprime is not None and args.task != "restricted":
+        raise ValueError("--dprime applies to --task restricted only")
+    if getattr(args, "n", None) is not None and args.task != "majority":
+        raise ValueError("--n applies to --task majority only")
+
+
 def _build_spec(args: argparse.Namespace) -> tuple[quantum.ProtocolSpec, dict]:
     """The protocol named by --task/--d/--dprime/--variant, and its parameters."""
     if args.task == "full":
@@ -155,6 +166,7 @@ def _build_spec(args: argparse.Namespace) -> tuple[quantum.ProtocolSpec, dict]:
 
 
 def cmd_exact(args: argparse.Namespace) -> Report:
+    _refuse_unread_options(args)
     spec, parameters = _build_spec(args)
     report = quantum.exact_success(spec)
     x1, x2, y = np.indices(report.per_input.shape, dtype=np.min_scalar_type(spec.d)).reshape(3, -1)
@@ -184,6 +196,7 @@ _SCAN_TEXT_ROW = "%4s %6s %5s %11s %11s %11s %11s\n"
 
 
 def cmd_scan(args: argparse.Namespace) -> Report:
+    from . import advantage
     columns = advantage.scan_columns(args.dmin, args.dmax)
     return Report(
         "scan",
@@ -203,12 +216,13 @@ def cmd_scan(args: argparse.Namespace) -> Report:
 # ---------------------------------------------------------------- oracle ---
 
 
-def _strategy_fields(strategy: classical.DeterministicStrategy) -> dict:
+def _strategy_fields(strategy) -> dict:
     """A strategy's fields for JSON; shallow, as ``asdict`` would copy every table entry."""
     return {f.name: getattr(strategy, f.name) for f in dataclass_fields(strategy)}
 
 
 def cmd_oracle(args: argparse.Namespace) -> Report:
+    from . import classical
     if args.evaluate is not None:
         with open(args.evaluate) as handle:
             strategy = classical.strategy_from_text(handle.read())
@@ -226,15 +240,14 @@ def cmd_oracle(args: argparse.Namespace) -> Report:
     if args.n is None or args.d is None:
         raise ValueError("oracle needs --n and --d (or --evaluate <path>)")
     task = classical.ClassicalTask(args.n, args.d)
-    result = classical.optimal_classical_bruteforce(
-        task, max_tuples=args.max_tuples, allow_large=args.allow_large
-    )
+    max_tuples = classical.DEFAULT_TUPLE_BUDGET if args.max_tuples is None else args.max_tuples
+    result = classical.optimal_classical_bruteforce(task, max_tuples=max_tuples, allow_large=args.allow_large)
     witness_text = classical.strategy_to_text(result.witness)
     if args.witness_out is not None:
         _emit(witness_text, args.witness_out)
     return Report(
         "oracle",
-        {"n": args.n, "d": args.d, "max_tuples": args.max_tuples, "allow_large": args.allow_large},
+        {"n": args.n, "d": args.d, "max_tuples": max_tuples, "allow_large": args.allow_large},
         sources={"optimum": "exhaustive search", "closed_form": "formula"},
         fields={
             "optimum": result.optimum,
@@ -251,6 +264,8 @@ def cmd_oracle(args: argparse.Namespace) -> Report:
 
 
 def cmd_simulate(args: argparse.Namespace) -> Report:
+    from . import classical, montecarlo
+    _refuse_unread_options(args)
     config = montecarlo.TrialConfig(trials=args.trials, seed=args.seed)
     if args.strategy is not None:
         with open(args.strategy) as handle:
@@ -280,6 +295,9 @@ def cmd_simulate(args: argparse.Namespace) -> Report:
 
 
 def _verify_checks() -> list[tuple[str, bool, str]]:
+    from fractions import Fraction
+
+    from . import advantage, classical
     tol = 1e-12
     checks: list[tuple[str, bool, str]] = []
 
@@ -400,7 +418,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-tuples",
         type=int,
-        default=classical.DEFAULT_TUPLE_BUDGET,
         help="column-multiset budget for the search",
     )
     p.add_argument(
@@ -438,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = args.func(args)
         _render(report, args)
-    except classical.InfeasibleSearchError as exc:
+    except InfeasibleSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INFEASIBLE
     except AssertionError as exc:  # an internal cross-check disagreed

@@ -1,4 +1,4 @@
-"""Success bookkeeping, argument checks and the writer of every table racsim prints."""
+"""Success bookkeeping, argument checks, the oracle's budget error and the writer of every table racsim prints."""
 
 from __future__ import annotations
 
@@ -16,6 +16,23 @@ _CHUNK_ROWS = 1 << 12
 
 #: Upper bound for a size the closed forms convert to float; past it they would raise OverflowError.
 FLOAT_MAX = float(np.finfo(float).max)
+
+
+class InfeasibleSearchError(ValueError):
+    """Raised when the classical oracle's exhaustive search would exceed its multiset budget.
+    ``required`` is the multiset count, or None when it may exceed ``classical._EXACT_BITS``;
+    ``log10`` is its rounded log10.  Defined here, so the CLI can catch it without importing
+    ``classical``, which re-exports it."""
+
+    def __init__(self, required: int | None, budget: int, log10: int):
+        self.required = required
+        self.budget = budget
+        # Python refuses to write an int of over 4,300 digits in decimal.
+        size = str(required) if log10 < 4000 else f"about 10^{log10}"
+        super().__init__(
+            f"exhaustive search needs {size} column multisets, above the budget "
+            f"of {budget}; pass allow_large=True to run it anyway"
+        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -72,6 +72,11 @@ class TestExact:
         )
         assert code == 2
 
+    def test_dprime_without_the_restricted_task_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "exact", "--task", "full", "--d", "4", "--dprime", "2")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: --dprime applies to --task restricted only"]
+
     def test_oversized_request_is_a_usage_error(self, capsys, monkeypatch):
         def exhausted(spec):
             raise MemoryError("Unable to allocate 7.28 TiB for an array")
@@ -358,6 +363,22 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err.splitlines() == ["error: --n is required for the majority task"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--task", "full", "--d", "5", "--n", "5"], "--n applies to --task majority only"),
+            (["--task", "restricted", "--d", "6", "--dprime", "5", "--n", "2"],
+             "--n applies to --task majority only"),
+            (["--task", "full", "--d", "6", "--dprime", "5"], "--dprime applies to --task restricted only"),
+            (["--task", "majority", "--n", "2", "--d", "6", "--dprime", "5"],
+             "--dprime applies to --task restricted only"),
+        ],
+    )
+    def test_option_the_task_does_not_read_is_refused(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "simulate", *argv, "--trials", "10")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {message}"]
 
     def test_majority_task_json(self, capsys):
         code, out, _ = run_cli(
